@@ -1,10 +1,11 @@
 //! Microbenches for the explanation-engine primitives: top-k maintenance,
-//! tuple distance, store persistence, and the SQL layer.
+//! tuple distance, store snapshots, and the SQL layer.
 
 use cape_bench::datasets::dblp_rows;
 use cape_core::explain::{DistanceModel, Explanation, TopK};
 use cape_core::mining::{ArpMiner, Miner};
-use cape_core::{persist, MiningConfig, Thresholds};
+use cape_core::snapshot::{encode_snapshot, read_snapshot};
+use cape_core::{MiningConfig, Thresholds};
 use cape_data::sql::{execute, parse};
 use cape_data::Value;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -56,7 +57,7 @@ fn bench_distance(c: &mut Criterion) {
     c.bench_function("tuple_distance", |b| b.iter(|| dm.tuple_distance(&attrs, &t1, &attrs, &t2)));
 }
 
-fn bench_persist(c: &mut Criterion) {
+fn bench_snapshot(c: &mut Criterion) {
     let rel = dblp_rows(5_000);
     let cfg = MiningConfig {
         thresholds: Thresholds::new(0.15, 4, 0.3, 3),
@@ -65,18 +66,13 @@ fn bench_persist(c: &mut Criterion) {
         ..MiningConfig::default()
     };
     let store = ArpMiner.mine(&rel, &cfg).expect("mining").store;
-    let mut group = c.benchmark_group("persist");
+    let mut group = c.benchmark_group("snapshot");
     group.sample_size(20);
-    group.bench_function("write_store", |b| {
-        b.iter(|| {
-            let mut buf = Vec::new();
-            persist::write_store(&mut buf, &store).unwrap();
-            buf
-        })
+    group.bench_function("encode_snapshot", |b| {
+        b.iter(|| encode_snapshot(rel.schema(), &cfg, &store))
     });
-    let mut buf = Vec::new();
-    persist::write_store(&mut buf, &store).unwrap();
-    group.bench_function("read_store", |b| b.iter(|| persist::read_store(&buf[..], &rel).unwrap()));
+    let bytes = encode_snapshot(rel.schema(), &cfg, &store);
+    group.bench_function("read_snapshot", |b| b.iter(|| read_snapshot(&bytes, &rel).unwrap()));
     group.finish();
 }
 
@@ -102,5 +98,5 @@ fn bench_sql(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_topk, bench_distance, bench_persist, bench_sql);
+criterion_group!(benches, bench_topk, bench_distance, bench_snapshot, bench_sql);
 criterion_main!(benches);

@@ -19,7 +19,6 @@ use cape_bench::experiments::{
     sensitivity, serve, serve_net, store_bench, subtasks, tables, user_study,
 };
 use cape_bench::Scale;
-use mine_bench::MineBenchOpts;
 
 const EXPERIMENTS: &[&str] = &[
     "fig3a",
@@ -51,17 +50,11 @@ const EXPERIMENTS: &[&str] = &[
 ];
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: cape-repro [--scale quick|full] [--no-rollup] [--no-sort-cache] [--no-columnar] \
-         <experiment>..."
-    );
+    eprintln!("usage: cape-repro [--scale quick|full] <experiment>...");
     eprintln!(
         "       cape-repro bench-diff OLD.json NEW.json [--threshold PCT] [--noise-floor-ms MS]"
     );
     eprintln!("experiments: all {}", EXPERIMENTS.join(" "));
-    eprintln!(
-        "--no-rollup / --no-sort-cache / --no-columnar disable one mining kernel in mine-bench"
-    );
     std::process::exit(2);
 }
 
@@ -118,7 +111,7 @@ fn bench_diff(args: &[String]) -> ! {
     }
 }
 
-fn run(name: &str, scale: Scale, mine_opts: MineBenchOpts) -> String {
+fn run(name: &str, scale: Scale) -> String {
     eprintln!("running {name} ({scale:?}) ...");
     match name {
         "fig3a" => mining_scaling::fig3a(scale),
@@ -144,7 +137,7 @@ fn run(name: &str, scale: Scale, mine_opts: MineBenchOpts) -> String {
         "ablation" => ablation::ablation(),
         "serve" => serve::serve(scale),
         "serve-net" => serve_net::serve_net(scale),
-        "mine-bench" | "minebench" => mine_bench::mine_bench(scale, mine_opts),
+        "mine-bench" | "minebench" => mine_bench::mine_bench(scale),
         "scale-bench" | "scalebench" => scale_bench::scale_bench(scale),
         "store-bench" => store_bench::store_bench(scale),
         "store-verify" => store_bench::store_verify(scale),
@@ -172,7 +165,6 @@ fn main() {
         bench_diff(&args[1..]);
     }
     let mut scale = Scale::Quick;
-    let mut mine_opts = MineBenchOpts::default();
     let mut selected: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -185,9 +177,6 @@ fn main() {
                     _ => usage(),
                 }
             }
-            "--no-rollup" => mine_opts.rollup = false,
-            "--no-sort-cache" => mine_opts.sort_cache = false,
-            "--no-columnar" => mine_opts.columnar = false,
             "--help" | "-h" => usage(),
             other => selected.push(other.to_string()),
         }
@@ -202,7 +191,7 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     for name in &selected {
-        let report = run(name, scale, mine_opts);
+        let report = run(name, scale);
         println!("{report}");
     }
     eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());

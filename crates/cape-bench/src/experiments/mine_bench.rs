@@ -1,25 +1,16 @@
-//! Mining-kernel benchmark: wall-clock and per-stage times for the miner
-//! variants with the kernels (lattice roll-up, the sort-permutation
-//! cache, and the batched columnar fit path) off — the row-oriented
-//! pre-kernel baseline — and on, at DBLP and Crime scales. Each
-//! configuration is mined [`REPS`] times and the fastest run is reported,
-//! so `bench-diff` trajectories compare capability rather than scheduler
-//! luck. Results are written to `results/BENCH_mine.json` in addition to
-//! the rendered table; the `scale` section of that file belongs to the
-//! `scale-bench` experiment and is preserved across reruns.
+//! Mining benchmark: wall-clock and per-stage times for the optimized
+//! miner variants (lattice roll-up, the sort-permutation cache, and the
+//! batched columnar fit path — all always on) at DBLP and Crime scales.
+//! Each configuration is mined [`REPS`] times and the fastest run is
+//! reported, so `bench-diff` trajectories compare capability rather than
+//! scheduler luck. Results are written to `results/BENCH_mine.json` in
+//! addition to the rendered table; the `scale` section of that file
+//! belongs to the `scale-bench` experiment and is preserved across
+//! reruns.
 //!
-//! The `--no-rollup` / `--no-sort-cache` / `--no-columnar` escape hatches
-//! force the corresponding kernel off in the "on" configuration, so a
-//! regression can be bisected to one kernel from the command line without
-//! editing code.
-//!
-//! Besides the wall-clock speedup, each entry records
-//! `query_regress_speedup` — the ratio of (query + regression) time
-//! between the two configurations. That is the metric the columnar fit
-//! path moves (it skips per-row `Value` dispatch inside the fit loop),
-//! isolated from setup/teardown noise in `other_s`. Peak RSS per
-//! configuration rides along as `peak_rss_bytes` (informational, not a
-//! gated metric).
+//! Each entry's `kernels` record holds the absolute times `bench-diff`
+//! tracks against the committed baseline. Peak RSS per configuration
+//! rides along as `peak_rss_bytes` (informational, not a gated metric).
 
 use crate::datasets::{crime_prefix, crime_rows, dblp_rows, Scale};
 use crate::report::{section, SeriesTable};
@@ -27,26 +18,6 @@ use cape_core::config::MiningConfig;
 use cape_core::mining::{ArpMiner, CubeMiner, Miner, MiningOutput, ParallelMiner, ShareGrpMiner};
 use cape_data::Relation;
 use cape_obs::Json;
-
-/// Escape hatches for the kernels-on configuration (satellite of the
-/// columnar-kernels change): `cape-repro mine-bench --no-rollup
-/// --no-sort-cache` reproduces the pre-kernel data path even in the "on"
-/// runs.
-#[derive(Debug, Clone, Copy)]
-pub struct MineBenchOpts {
-    /// Enable lattice roll-up in the kernels-on runs.
-    pub rollup: bool,
-    /// Enable the sort-permutation cache in the kernels-on runs.
-    pub sort_cache: bool,
-    /// Enable the batched columnar fit path in the kernels-on runs.
-    pub columnar: bool,
-}
-
-impl Default for MineBenchOpts {
-    fn default() -> Self {
-        MineBenchOpts { rollup: true, sort_cache: true, columnar: true }
-    }
-}
 
 /// Number of crime attributes kept (the paper's core query attributes).
 const CRIME_ATTRS: usize = 5;
@@ -165,9 +136,9 @@ fn run_json(label: &str, r: &Run, with_stages: bool) -> (String, Json) {
     (label.into(), Json::Obj(fields))
 }
 
-/// The mine-bench experiment: for each dataset scale and miner, mine with
-/// the kernels off (baseline) and on, and report the speedup.
-pub fn mine_bench(scale: Scale, opts: MineBenchOpts) -> String {
+/// The mine-bench experiment: for each dataset scale and miner, report
+/// the best of [`REPS`] mining runs.
+pub fn mine_bench(scale: Scale) -> String {
     let row_sweep: Vec<usize> = match scale {
         Scale::Quick => vec![10_000],
         Scale::Full => vec![10_000, 30_000, 100_000],
@@ -182,62 +153,32 @@ pub fn mine_bench(scale: Scale, opts: MineBenchOpts) -> String {
             ("crime", crime_prefix(&crime_rows(rows), CRIME_ATTRS), vec![]),
         ];
         for (dataset, rel, exclude) in datasets {
-            let mut off_cfg = base_cfg(exclude.clone());
-            off_cfg.rollup = false;
-            off_cfg.sort_cache = false;
-            off_cfg.columnar_fit = false;
-            let mut on_cfg = base_cfg(exclude);
-            on_cfg.rollup = opts.rollup;
-            on_cfg.sort_cache = opts.sort_cache;
-            on_cfg.columnar_fit = opts.columnar;
-
-            let mut wall_off = Vec::new();
-            let mut wall_on = Vec::new();
-            let mut speedups = Vec::new();
+            let cfg = base_cfg(exclude);
+            let mut walls = Vec::new();
             let names: Vec<String> = miners().iter().map(|(n, _)| n.to_string()).collect();
             for (name, miner) in miners() {
-                let off = best_run(miner.as_ref(), &rel, &off_cfg);
-                let on = best_run(miner.as_ref(), &rel, &on_cfg);
-                let speedup = if on.wall_s > 0.0 { off.wall_s / on.wall_s } else { f64::NAN };
-                let qr_off = off.query_s + off.regress_s;
-                let qr_on = on.query_s + on.regress_s;
-                let qr_speedup = if qr_on > 0.0 { qr_off / qr_on } else { f64::NAN };
+                let run = best_run(miner.as_ref(), &rel, &cfg);
                 eprintln!(
-                    "  mine-bench: {dataset}/{rows} {name}: off {:.3}s on {:.3}s ({speedup:.2}x \
-                     wall, {qr_speedup:.2}x query+regress, rollup hits {}, sort-cache hits {}, \
-                     rows saved {})",
-                    off.wall_s, on.wall_s, on.rollup_hits, on.sort_cache_hits, on.scan_rows_saved,
+                    "  mine-bench: {dataset}/{rows} {name}: {:.3}s (rollup hits {}, sort-cache \
+                     hits {}, rows saved {})",
+                    run.wall_s, run.rollup_hits, run.sort_cache_hits, run.scan_rows_saved,
                 );
-                assert_eq!(off.patterns, on.patterns, "kernels changed the mined pattern count");
-                wall_off.push(Some(off.wall_s));
-                wall_on.push(Some(on.wall_s));
-                speedups.push(Some(speedup));
+                walls.push(Some(run.wall_s));
                 entries.push(Json::Obj(vec![
                     ("dataset".into(), Json::Str(dataset.into())),
                     ("rows".into(), Json::Num(rel.num_rows() as f64)),
                     ("miner".into(), Json::Str(name.into())),
                     ("threads".into(), Json::Num(threads_of(name) as f64)),
-                    ("rollup".into(), Json::Bool(opts.rollup)),
-                    ("sort_cache".into(), Json::Bool(opts.sort_cache)),
-                    ("columnar".into(), Json::Bool(opts.columnar)),
-                    ("speedup".into(), Json::Num(speedup)),
-                    ("query_regress_speedup".into(), Json::Num(qr_speedup)),
-                    run_json("baseline", &off, threads_of(name) == 1),
-                    run_json("kernels", &on, threads_of(name) == 1),
+                    run_json("kernels", &run, threads_of(name) == 1),
                 ]));
             }
 
             let mut table = SeriesTable::new("miner", names);
-            table.push_series("baseline [s]", wall_off);
-            table.push_series("kernels [s]", wall_on);
-            table.push_series("speedup", speedups);
+            table.push_series("kernels [s]", walls);
             report.push_str(&format!(
-                "{}{} rows (rollup: {}, sort cache: {}, columnar: {})\n{}",
+                "{}{} rows\n{}",
                 section(&format!("Mining kernels: {dataset} @ {rows}")),
                 rel.num_rows(),
-                opts.rollup,
-                opts.sort_cache,
-                opts.columnar,
                 table.render()
             ));
         }
@@ -246,9 +187,6 @@ pub fn mine_bench(scale: Scale, opts: MineBenchOpts) -> String {
     let payload = Json::Obj(vec![
         ("experiment".into(), Json::Str("mine-bench".into())),
         ("host_cpus".into(), Json::Num(host_cpus as f64)),
-        ("rollup".into(), Json::Bool(opts.rollup)),
-        ("sort_cache".into(), Json::Bool(opts.sort_cache)),
-        ("columnar".into(), Json::Bool(opts.columnar)),
         ("psi".into(), Json::Num(3.0)),
         ("reps".into(), Json::Num(REPS as f64)),
         ("crime_attrs".into(), Json::Num(CRIME_ATTRS as f64)),

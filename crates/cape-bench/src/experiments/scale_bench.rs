@@ -1,18 +1,14 @@
-//! Out-of-core scale benchmark (the ISSUE-9 tentpole measured end to
-//! end): mine + explain DBLP and Crime at 250k (quick) / 1M (full) rows,
-//! row-oriented vs columnar fit path, then save a v2 snapshot and time
-//! the mmap cold-start relation load against a full owned decode.
+//! Out-of-core scale benchmark: mine + explain DBLP and Crime at 250k
+//! (quick) / 1M (full) rows, then save a v2 snapshot and time the mmap
+//! cold-start relation load against a full owned decode.
 //!
-//! One run per configuration — at these row counts a mine is seconds to
+//! One run per dataset — at these row counts a mine is seconds to
 //! minutes, far above the scheduler-noise regime the smaller benches
 //! guard against with repetition, and the point of this experiment is
 //! that the pipeline *completes* at scale with the expected ratios:
 //!
-//! * `query_regress_speedup` — (query + regression) time, row-oriented ÷
-//!   columnar. The baseline is the full pre-kernel path (materialized
-//!   sorts, per-`Value` fit gather — mine-bench's "off" configuration);
-//!   the columnar side runs every kernel. The bar is ≥ 1.5× for ARP-MINE
-//!   at 100k+ rows.
+//! * `mine_columnar` — absolute mining times (wall, query, regression)
+//!   that `bench-diff` tracks against the committed baseline.
 //! * `mmap_relation_load_s` vs `owned_decode_s` — the v2 cold-start
 //!   primitive ([`load_relation_v2`]) maps the file and aliases its
 //!   slabs, so its cost is framing + CRC + dictionary decode, while the
@@ -103,31 +99,11 @@ fn run_dataset(
 ) -> (Json, String) {
     let rows = rel.num_rows();
 
-    // --- mine: row-oriented baseline vs columnar kernels ---------------
-    // The baseline is the full pre-kernel data path (same as mine-bench's
-    // "off" configuration): materialized sorts, no lattice roll-up, and
-    // per-`Value` fit gather. The columnar side is the default config —
-    // every kernel on.
-    let row_cfg = MiningConfig {
-        rollup: false,
-        sort_cache: false,
-        columnar_fit: false,
-        ..base_cfg(exclude.clone())
-    };
+    // --- mine ----------------------------------------------------------
     let col_cfg = base_cfg(exclude);
-    eprintln!("  scale-bench: {dataset}/{rows} mining (row-oriented) ...");
-    let row = mine_once(&rel, &row_cfg);
-    eprintln!("  scale-bench: {dataset}/{rows} mining (columnar) ...");
+    eprintln!("  scale-bench: {dataset}/{rows} mining ...");
     let col = mine_once(&rel, &col_cfg);
-    assert_eq!(row.patterns, col.patterns, "fit paths disagree on the mined pattern count");
-    let qr_row = row.query_s + row.regress_s;
-    let qr_col = col.query_s + col.regress_s;
-    let qr_speedup = if qr_col > 0.0 { qr_row / qr_col } else { f64::NAN };
-    eprintln!(
-        "  scale-bench: {dataset}/{rows}: row {:.2}s columnar {:.2}s \
-         ({qr_speedup:.2}x query+regress, {} patterns)",
-        row.wall_s, col.wall_s, col.patterns,
-    );
+    eprintln!("  scale-bench: {dataset}/{rows}: {:.2}s ({} patterns)", col.wall_s, col.patterns);
 
     // --- explain: the question grid against the columnar store --------
     let questions = generate_questions(&rel, question_attrs, QUESTIONS, seed);
@@ -189,8 +165,6 @@ fn run_dataset(
         ("dataset".into(), Json::Str(dataset.into())),
         ("rows".into(), Json::Num(rows as f64)),
         ("miner".into(), Json::Str("ARP-MINE".into())),
-        ("query_regress_speedup".into(), Json::Num(qr_speedup)),
-        ("mine_row".into(), mine_json(&row)),
         ("mine_columnar".into(), mine_json(&col)),
         (
             "explain".into(),
@@ -206,9 +180,7 @@ fn run_dataset(
     let mut table = SeriesTable::new(
         "metric",
         vec![
-            "mine row [s]".into(),
             "mine columnar [s]".into(),
-            "query+regress speedup".into(),
             "explain total [s]".into(),
             "v2 save [s]".into(),
             "mmap relation load [s]".into(),
@@ -218,9 +190,7 @@ fn run_dataset(
     table.push_series(
         "value",
         vec![
-            Some(row.wall_s),
             Some(col.wall_s),
-            Some(qr_speedup),
             Some(explain_s),
             Some(save_s),
             Some(mmap_relation_load_s),

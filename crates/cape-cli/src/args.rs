@@ -16,10 +16,8 @@ pub struct Args {
 const VALUE_KEYS: &[&str] = &[
     "csv",
     "schema",
-    "out",
     "save",
     "store",
-    "patterns",
     "sql",
     "tuple",
     "dir",

@@ -9,10 +9,9 @@ use cape_core::mining::{ArpMiner, Miner};
 use cape_core::prelude::OptimizedExplainer;
 use cape_core::report::narrate_all;
 use cape_core::snapshot::{self, SnapshotError};
-use cape_core::{persist, Direction, IncrError, IncrStore, MiningConfig, Thresholds, UserQuestion};
+use cape_core::{Direction, IncrError, IncrStore, MiningConfig, Thresholds, UserQuestion};
 use cape_data::sql;
 use cape_data::Relation;
-use std::fs::File;
 use std::path::Path;
 
 /// CLI usage text.
@@ -25,11 +24,10 @@ USAGE:
 
   cape mine --csv FILE --schema SPEC [--psi N] [--theta F] [--delta N]
             [--lambda F] [--support N] [--fd] [--exclude COLS]
-            [--out FILE] [--save FILE]
-      Mine aggregate regression patterns and persist them: --out writes
-      the line-based text format, --save writes the versioned,
+            --save FILE [--v2]
+      Mine aggregate regression patterns and save them as a versioned,
       checksummed binary snapshot (written atomically; load it back with
-      --store). At least one of the two is required.
+      --store). --v2 also embeds the relation's column slabs.
 
   cape append --csv FILE --schema SPEC --store FILE --rows FILE [--compact]
       Append rows (a CSV with the same schema) to a mined --store snapshot
@@ -40,10 +38,10 @@ USAGE:
       reads --store replays a WAL found beside it, so an appended store
       serves the refreshed patterns without re-mining.
 
-  cape patterns --csv FILE --schema SPEC (--patterns FILE | --store FILE)
+  cape patterns --csv FILE --schema SPEC --store FILE
       List the patterns in a persisted store.
 
-  cape explain --csv FILE --schema SPEC (--patterns FILE | --store FILE)
+  cape explain --csv FILE --schema SPEC --store FILE
                --sql QUERY --tuple VALUES --dir high|low
                [--k N] [--narrate] [--baseline]
                [--summarize [--min-members N] [--max-loss X]]
@@ -52,7 +50,7 @@ USAGE:
       coarsest lattice fragments covering ≥ --min-members answers within
       relative score loss --max-loss); the top-k table is unchanged.
 
-  cape batch-explain --csv FILE --schema SPEC (--patterns FILE | --store FILE)
+  cape batch-explain --csv FILE --schema SPEC --store FILE
                      --sql QUERY --questions FILE [--k N] [--threads N]
                      [--timeout-ms MS] [--cache N] [--fail-on-timeout]
                      [--access-log FILE]
@@ -66,7 +64,7 @@ USAGE:
       hits/misses, outcome).
 
   cape serve --listen ADDR --csv FILE --schema SPEC
-             (--patterns FILE | --store FILE) [--name NAME] [--threads N]
+             --store FILE [--name NAME] [--threads N]
              [--queue N] [--cache N] [--max-body BYTES] [--deadline-ms MS]
              [--max-connections N] [--access-log FILE]
       Serve explanations over HTTP/1.1 (std-only, keep-alive and
@@ -155,6 +153,7 @@ fn mining_config(args: &Args, rel: &Relation) -> Result<MiningConfig, CliError> 
 /// `cape mine`.
 pub fn mine(args: &Args) -> Result<(), CliError> {
     let rel = load(args)?;
+    let path = args.require("save").map_err(usage)?;
     let cfg = mining_config(args, &rel)?;
     cape_obs::info("cli", || {
         format!(
@@ -175,28 +174,15 @@ pub fn mine(args: &Args) -> Result<(), CliError> {
             out.stats.skipped_by_fd,
         )
     });
-    let out_path = args.get("out");
-    let save_path = args.get("save");
-    if out_path.is_none() && save_path.is_none() {
-        return Err(usage("mine needs --out FILE (text) and/or --save FILE (binary snapshot)"));
+    // --v2 embeds the relation's column slabs so later cold starts can
+    // mmap the dataset instead of re-parsing the CSV.
+    let bytes = if args.flag("v2") {
+        snapshot::save_snapshot_v2(path, rel.schema(), &cfg, &out.store, &rel)
+    } else {
+        snapshot::save_snapshot(path, rel.schema(), &cfg, &out.store)
     }
-    if let Some(path) = out_path {
-        let mut file =
-            File::create(path).map_err(|e| runtime(format!("cannot create {path}: {e}")))?;
-        persist::write_store(&mut file, &out.store).map_err(runtime)?;
-        println!("wrote {} patterns to {path}", out.store.len());
-    }
-    if let Some(path) = save_path {
-        // --v2 embeds the relation's column slabs so later cold starts
-        // can mmap the dataset instead of re-parsing the CSV.
-        let bytes = if args.flag("v2") {
-            snapshot::save_snapshot_v2(path, rel.schema(), &cfg, &out.store, &rel)
-        } else {
-            snapshot::save_snapshot(path, rel.schema(), &cfg, &out.store)
-        }
-        .map_err(|e| runtime(format!("cannot save snapshot {path}: {e}")))?;
-        println!("saved {} patterns to {path} ({bytes} bytes)", out.store.len());
-    }
+    .map_err(|e| runtime(format!("cannot save snapshot {path}: {e}")))?;
+    println!("saved {} patterns to {path} ({bytes} bytes)", out.store.len());
     Ok(())
 }
 
@@ -238,35 +224,28 @@ fn load_store(args: &Args) -> Result<(Relation, cape_core::PatternStore), CliErr
 }
 
 /// Load the pattern store from `--store` (binary snapshot, validated
-/// against the live relation, WAL-aware) or `--patterns` (line-based
-/// text format). A rejected snapshot becomes [`CliError::Store`] (exit
-/// 3) — except a plain read failure (absent file, permissions), which
-/// stays a runtime error like any other missing input.
+/// against the live relation, WAL-aware). A rejected snapshot becomes
+/// [`CliError::Store`] (exit 3) — except a plain read failure (absent
+/// file, permissions), which stays a runtime error like any other
+/// missing input.
 fn read_patterns(
     args: &Args,
     rel: Relation,
 ) -> Result<(Relation, cape_core::PatternStore), CliError> {
-    if let Some(path) = args.get("store") {
-        if wal_path_for(Path::new(path)).exists() {
-            let incr = IncrStore::open(path, &rel).map_err(|e| incr_err(path, e))?;
-            let replayed = incr.relation().clone();
-            let store = incr.store();
-            drop(incr);
-            let store = std::sync::Arc::try_unwrap(store).unwrap_or_else(|arc| (*arc).clone());
-            return Ok((replayed, store));
-        }
-        let loaded = snapshot::load_snapshot_auto(path, &rel).map_err(|e| match e {
-            SnapshotError::Io(m) => runtime(format!("cannot read store {path}: {m}")),
-            other => CliError::Store(format!("store file {path} rejected: {other}")),
-        })?;
-        return Ok((rel, loaded.store));
+    let path = args.require("store").map_err(usage)?;
+    if wal_path_for(Path::new(path)).exists() {
+        let incr = IncrStore::open(path, &rel).map_err(|e| incr_err(path, e))?;
+        let replayed = incr.relation().clone();
+        let store = incr.store();
+        drop(incr);
+        let store = std::sync::Arc::try_unwrap(store).unwrap_or_else(|arc| (*arc).clone());
+        return Ok((replayed, store));
     }
-    let path = args
-        .require("patterns")
-        .map_err(|_| usage("need --patterns FILE (text) or --store FILE (binary snapshot)"))?;
-    let file = File::open(path).map_err(|e| runtime(format!("cannot open {path}: {e}")))?;
-    let store = persist::read_store(file, &rel).map_err(runtime)?;
-    Ok((rel, store))
+    let loaded = snapshot::load_snapshot_auto(path, &rel).map_err(|e| match e {
+        SnapshotError::Io(m) => runtime(format!("cannot read store {path}: {m}")),
+        other => CliError::Store(format!("store file {path} rejected: {other}")),
+    })?;
+    Ok((rel, loaded.store))
 }
 
 /// `cape append` — stream rows into a mined snapshot incrementally.
@@ -593,26 +572,21 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
 
     let serve_cfg = ServeConfig { threads, cache_capacity: cache, distance: None, access_log };
     let registry = std::sync::Arc::new(StoreRegistry::new());
-    // A `--store` snapshot is served with incremental backing so `POST
+    // The `--store` snapshot is served with incremental backing so `POST
     // /admin/stores/NAME/append` streams rows in live — unless the
     // snapshot was mined with a config the incremental layer can't
     // maintain (e.g. FD pruning), which degrades to read-only serving.
-    match args.get("store") {
-        Some(path) => match IncrStore::open(path, &rel) {
-            Ok(incr) => {
-                registry.register_incremental(&name, rel, incr, serve_cfg);
-            }
-            Err(IncrError::Config(m)) => {
-                cape_obs::info("cli", || format!("serving read-only (no appends): {m}"));
-                let (rel, store) = read_patterns(args, rel)?;
-                registry.register(&name, PatternStoreHandle::new(rel, store), serve_cfg);
-            }
-            Err(e) => return Err(incr_err(path, e)),
-        },
-        None => {
+    let path = args.require("store").map_err(usage)?;
+    match IncrStore::open(path, &rel) {
+        Ok(incr) => {
+            registry.register_incremental(&name, rel, incr, serve_cfg);
+        }
+        Err(IncrError::Config(m)) => {
+            cape_obs::info("cli", || format!("serving read-only (no appends): {m}"));
             let (rel, store) = read_patterns(args, rel)?;
             registry.register(&name, PatternStoreHandle::new(rel, store), serve_cfg);
         }
+        Err(e) => return Err(incr_err(path, e)),
     }
 
     // The session recorder is installed on this thread; Server::bind

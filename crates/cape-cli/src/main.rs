@@ -4,10 +4,10 @@
 //! cape demo                                # built-in DBLP walk-through
 //! cape mine    --csv pub.csv --schema author:str,pubid:str,year:int,venue:str \
 //!              --psi 3 --theta 0.15 --delta 4 --lambda 0.3 --support 3 \
-//!              [--fd] [--exclude pubid] --out patterns.cape
+//!              [--fd] [--exclude pubid] --save store.cape
 //! cape append  --csv pub.csv --schema ... --store store.cape --rows delta.csv [--compact]
-//! cape patterns --csv pub.csv --schema ... --patterns patterns.cape
-//! cape explain --csv pub.csv --schema ... --patterns patterns.cape \
+//! cape patterns --csv pub.csv --schema ... --store store.cape
+//! cape explain --csv pub.csv --schema ... --store store.cape \
 //!              --sql "SELECT author, venue, year, count(*) FROM pub GROUP BY author, venue, year" \
 //!              --tuple "AX,SIGKDD,2007" --dir low [--k 10] [--narrate] [--baseline]
 //! cape query   --csv pub.csv --schema ... --sql "SELECT ..."

@@ -1,4 +1,4 @@
-//! End-to-end tests of the `cape` binary: mine → persist → explain over
+//! End-to-end tests of the `cape` binary: mine → save → explain over
 //! a real temporary CSV file, plus usage/error behavior.
 
 use std::io::Write;
@@ -89,14 +89,14 @@ fn full_workflow_mine_patterns_explain_query() {
         "2",
         "--psi",
         "3",
-        "--out",
+        "--save",
         &patterns,
     ]);
     assert!(out.status.success(), "mine failed: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("wrote"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("saved"));
 
     // patterns listing
-    let out = run(&["patterns", "--csv", &csv, "--schema", SCHEMA, "--patterns", &patterns]);
+    let out = run(&["patterns", "--csv", &csv, "--schema", SCHEMA, "--store", &patterns]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("confidence"));
 
@@ -107,7 +107,7 @@ fn full_workflow_mine_patterns_explain_query() {
         &csv,
         "--schema",
         SCHEMA,
-        "--patterns",
+        "--store",
         &patterns,
         "--sql",
         "SELECT author, year, venue, count(*) FROM pub GROUP BY author, year, venue",
@@ -162,7 +162,7 @@ fn explain_rejects_bad_direction_and_tuple() {
         "2",
         "--psi",
         "2",
-        "--out",
+        "--save",
         &patterns,
     ]);
     assert!(out.status.success());
@@ -173,7 +173,7 @@ fn explain_rejects_bad_direction_and_tuple() {
         &csv,
         "--schema",
         SCHEMA,
-        "--patterns",
+        "--store",
         &patterns,
         "--sql",
         "SELECT author, count(*) FROM pub GROUP BY author",
@@ -191,7 +191,7 @@ fn explain_rejects_bad_direction_and_tuple() {
         &csv,
         "--schema",
         SCHEMA,
-        "--patterns",
+        "--store",
         &patterns,
         "--sql",
         "SELECT author, year, count(*) FROM pub GROUP BY author, year",
@@ -230,14 +230,14 @@ fn exit_codes_distinguish_usage_from_runtime() {
         "/nonexistent/cape-test.csv",
         "--schema",
         SCHEMA,
-        "--out",
+        "--save",
         &out_path,
     ]);
     assert_eq!(out.status.code(), Some(1), "missing CSV: {}", String::from_utf8_lossy(&out.stderr));
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Mine the planted CSV into `dir` and return the patterns path.
+/// Mine the planted CSV into a snapshot in `dir` and return its path.
 fn mine_planted(dir: &Path, csv: &str) -> String {
     let patterns = dir.join("patterns.cape").to_string_lossy().into_owned();
     let out = run(&[
@@ -256,7 +256,7 @@ fn mine_planted(dir: &Path, csv: &str) -> String {
         "2",
         "--psi",
         "3",
-        "--out",
+        "--save",
         &patterns,
     ]);
     assert!(out.status.success(), "mine failed: {}", String::from_utf8_lossy(&out.stderr));
@@ -295,7 +295,7 @@ fn batch_explain_matches_golden_and_is_thread_invariant() {
         &csv,
         "--schema",
         SCHEMA,
-        "--patterns",
+        "--store",
         &patterns,
         "--sql",
         BATCH_SQL,
@@ -384,7 +384,7 @@ fn mine_for(dir: &Path, csv: &str, schema: &str, name: &str) -> String {
         "2",
         "--psi",
         "3",
-        "--out",
+        "--save",
         &patterns,
     ]);
     assert!(out.status.success(), "mine failed: {}", String::from_utf8_lossy(&out.stderr));
@@ -424,7 +424,7 @@ fn summarize_is_strictly_additive_and_thread_invariant() {
             csv,
             "--schema",
             schema,
-            "--patterns",
+            "--store",
             &patterns,
             "--sql",
             sql,
@@ -466,21 +466,8 @@ fn summarize_is_strictly_additive_and_thread_invariant() {
         // Single-question explain: the plain output is an exact prefix.
         let explain = |extra: &[&str]| -> String {
             let mut args = vec![
-                "explain",
-                "--csv",
-                csv,
-                "--schema",
-                schema,
-                "--patterns",
-                &patterns,
-                "--sql",
-                sql,
-                "--tuple",
-                tuple,
-                "--dir",
-                "low",
-                "--k",
-                "5",
+                "explain", "--csv", csv, "--schema", schema, "--store", &patterns, "--sql", sql,
+                "--tuple", tuple, "--dir", "low", "--k", "5",
             ];
             args.extend_from_slice(extra);
             let out = run(&args);
@@ -518,7 +505,7 @@ fn batch_explain_timeout_degrades_and_exit_codes() {
         &csv,
         "--schema",
         SCHEMA,
-        "--patterns",
+        "--store",
         &patterns,
         "--sql",
         BATCH_SQL,
@@ -558,7 +545,7 @@ fn batch_explain_usage_and_runtime_errors() {
             &csv,
             "--schema",
             SCHEMA,
-            "--patterns",
+            "--store",
             &patterns,
             "--sql",
             BATCH_SQL,
@@ -754,7 +741,7 @@ fn corrupt_store_files_exit_3_with_typed_stderr() {
     assert_eq!(code, Some(1), "missing store file: {stderr}");
     assert!(stderr.contains("cannot read store"), "stderr: {stderr}");
 
-    // Usage taxonomy stays intact: --patterns and --store both absent.
+    // Usage taxonomy stays intact: --store absent.
     let out = run(&[
         "explain",
         "--csv",
@@ -774,7 +761,7 @@ fn corrupt_store_files_exit_3_with_typed_stderr() {
 }
 
 #[test]
-fn mine_without_out_or_save_is_usage_error() {
+fn mine_without_save_is_usage_error() {
     let dir = temp_dir("minesave");
     let csv = write_csv(&dir);
     let out = run(&["mine", "--csv", &csv, "--schema", SCHEMA]);
@@ -807,7 +794,7 @@ fn metrics_flag_writes_telemetry_snapshot() {
         "2",
         "--psi",
         "3",
-        "--out",
+        "--save",
         &patterns,
         "--metrics",
         &mine_metrics,
@@ -832,7 +819,7 @@ fn metrics_flag_writes_telemetry_snapshot() {
         &csv,
         "--schema",
         SCHEMA,
-        "--patterns",
+        "--store",
         &patterns,
         "--sql",
         "SELECT author, year, venue, count(*) FROM pub GROUP BY author, year, venue",
@@ -867,7 +854,7 @@ fn batch_explain_trace_out_emits_valid_chrome_trace() {
         &csv,
         "--schema",
         SCHEMA,
-        "--patterns",
+        "--store",
         &patterns,
         "--sql",
         BATCH_SQL,
@@ -933,7 +920,7 @@ fn access_log_and_serve_report_workflow() {
         &csv,
         "--schema",
         SCHEMA,
-        "--patterns",
+        "--store",
         &patterns,
         "--sql",
         BATCH_SQL,
@@ -1005,7 +992,7 @@ fn quiet_suppresses_progress_verbose_keeps_it() {
         "2",
         "--psi",
         "2",
-        "--out",
+        "--save",
         &patterns,
     ];
 
@@ -1020,11 +1007,11 @@ fn quiet_suppresses_progress_verbose_keeps_it() {
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("mining"), "-q still noisy:\n{stderr}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("wrote"), "data output suppressed");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("saved"), "data output suppressed");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Mine a patterns file for the unknown-aggregate-column tests.
+/// Mine a snapshot for the unknown-aggregate-column tests.
 fn mined_patterns(dir: &Path, csv: &str) -> String {
     let patterns = dir.join("p.cape").to_string_lossy().into_owned();
     let out = run(&[
@@ -1043,7 +1030,7 @@ fn mined_patterns(dir: &Path, csv: &str) -> String {
         "2",
         "--psi",
         "3",
-        "--out",
+        "--save",
         &patterns,
     ]);
     assert!(out.status.success(), "mine failed: {}", String::from_utf8_lossy(&out.stderr));
@@ -1065,7 +1052,7 @@ fn explain_unknown_aggregate_column_exits_4() {
         &csv,
         "--schema",
         SCHEMA,
-        "--patterns",
+        "--store",
         &patterns,
         "--sql",
         "SELECT author, year, venue, sum(royalties) FROM pub GROUP BY author, year, venue",
@@ -1098,7 +1085,7 @@ fn batch_explain_unknown_aggregate_column_exits_4_before_reading_questions() {
         &csv,
         "--schema",
         SCHEMA,
-        "--patterns",
+        "--store",
         &patterns,
         "--sql",
         "SELECT author, year, venue, sum(royalties) FROM pub GROUP BY author, year, venue",
@@ -1117,7 +1104,7 @@ fn batch_explain_unknown_aggregate_column_exits_4_before_reading_questions() {
         &csv,
         "--schema",
         SCHEMA,
-        "--patterns",
+        "--store",
         &patterns,
         "--sql",
         "SELECT author, year, venue, count(*) FROM pub GROUP BY author, year, venue",

@@ -70,25 +70,6 @@ pub struct MiningConfig {
     /// FDs known up front (e.g. from key constraints). Discovered FDs are
     /// added on top when `fd_pruning` is enabled.
     pub initial_fds: FdSet,
-    /// Whether to derive child group sets from already-materialized
-    /// lattice parents (roll-up aggregation) instead of rescanning the
-    /// base relation. Output-equivalent either way.
-    pub rollup: bool,
-    /// Whether to cache sort permutations per group set and serve `(F, V)`
-    /// splits from prefix-compatible cached orders.
-    pub sort_cache: bool,
-    /// Bounded-memory budget for roll-up parents: total cached *group*
-    /// rows across materializations before least-recently-used eviction.
-    pub rollup_budget_rows: usize,
-    /// Whether the miner's data path runs over the typed column slabs:
-    /// group-by via the packed slab-code kernel and fragment fitting via
-    /// slab gather + batched kernels (`fit_split`). `false` selects the
-    /// legacy row-oriented path — `Vec<Value>` hash group keys and
-    /// per-cell `Value` dispatch (`fit_split_rows`) — kept as the
-    /// benchmark baseline and differential-suite reference. Identical
-    /// results either way (group order, patterns, fits to 1e-9);
-    /// `--no-columnar` flips this off from the command line.
-    pub columnar_fit: bool,
 }
 
 impl Default for MiningConfig {
@@ -101,10 +82,6 @@ impl Default for MiningConfig {
             exclude: Vec::new(),
             fd_pruning: false,
             initial_fds: FdSet::new(),
-            rollup: true,
-            sort_cache: true,
-            rollup_budget_rows: 2_000_000,
-            columnar_fit: true,
         }
     }
 }

@@ -6,7 +6,7 @@
 //! materialization: the aggregated relation plus the column bookkeeping
 //! needed to find a given aggregate output or base attribute again.
 
-use cape_data::ops::{aggregate_with_row_count, aggregate_with_row_count_unpacked, column_ranks};
+use cape_data::ops::{aggregate_with_row_count, column_ranks};
 use cape_data::{AggFunc, AggSpec, AttrId, Relation, Result, Value};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -68,27 +68,8 @@ impl GroupData {
         group_attrs: &[AttrId],
         aggs: &[(AggFunc, Option<AttrId>)],
     ) -> Result<Self> {
-        Self::compute_with_layout(rel, group_attrs, aggs, true)
-    }
-
-    /// [`GroupData::compute`] with an explicit data-path choice:
-    /// `columnar = true` groups via the packed slab-code kernel, `false`
-    /// via the legacy `Vec<Value>` hash keys — the row-oriented path the
-    /// benches and differential suites compare against
-    /// (`MiningConfig::columnar_fit = false`). Both produce identical
-    /// relations (first-appearance group order).
-    pub fn compute_with_layout(
-        rel: &Relation,
-        group_attrs: &[AttrId],
-        aggs: &[(AggFunc, Option<AttrId>)],
-        columnar: bool,
-    ) -> Result<Self> {
         let specs: Vec<AggSpec> = aggs.iter().map(|&(func, attr)| AggSpec { func, attr }).collect();
-        let result = if columnar {
-            aggregate_with_row_count(rel, group_attrs, &specs)?
-        } else {
-            aggregate_with_row_count_unpacked(rel, group_attrs, &specs)?
-        };
+        let result = aggregate_with_row_count(rel, group_attrs, &specs)?;
         Ok(Self::from_parts(group_attrs.to_vec(), result.relation, aggs))
     }
 
@@ -162,16 +143,8 @@ impl GroupData {
     /// is served when, for each requested length `k`, its first `k` keys
     /// form the same *set* as `key_cols[..k]` (so each `F` block is
     /// contiguous, which is all fragment fitting needs).
-    ///
-    /// With `use_cache` false the permutation is recomputed every call and
-    /// never stored — the pre-kernel behavior of one sort per request.
-    pub fn sort_perm_covering(
-        &self,
-        key_cols: &[usize],
-        prefix_lens: &[usize],
-        use_cache: bool,
-    ) -> Arc<Vec<usize>> {
-        if use_cache {
+    pub fn sort_perm_covering(&self, key_cols: &[usize], prefix_lens: &[usize]) -> Arc<Vec<usize>> {
+        {
             let cache = self.sort_cache.lock().expect("sort cache poisoned");
             for entry in cache.iter() {
                 let serves = prefix_lens
@@ -192,13 +165,11 @@ impl GroupData {
             span.add("rows_in", self.relation.num_rows() as u64);
             Arc::new(self.rank_sort_perm(key_cols))
         };
-        if use_cache {
-            cape_obs::counter_add("mining.sort_cache_misses", 1);
-            self.sort_cache
-                .lock()
-                .expect("sort cache poisoned")
-                .push(SortEntry { keys: key_cols.to_vec(), perm: Arc::clone(&perm) });
-        }
+        cape_obs::counter_add("mining.sort_cache_misses", 1);
+        self.sort_cache
+            .lock()
+            .expect("sort cache poisoned")
+            .push(SortEntry { keys: key_cols.to_vec(), perm: Arc::clone(&perm) });
         perm
     }
 
@@ -299,34 +270,28 @@ mod tests {
         let g = GroupData::compute(&rel(), &[0, 1], &[(AggFunc::Count, None)]).unwrap();
         let rec = cape_obs::Recorder::new();
         let guard = rec.install();
-        let p1 = g.sort_perm_covering(&[0, 1], &[1], true);
+        let p1 = g.sort_perm_covering(&[0, 1], &[1]);
         // Same leading set {0}: served from cache.
-        let p2 = g.sort_perm_covering(&[0, 1], &[1], true);
+        let p2 = g.sort_perm_covering(&[0, 1], &[1]);
         assert!(Arc::ptr_eq(&p1, &p2));
         // Prefix set {1, 0} of length 2 matches [0, 1]'s first two keys as
         // a set, so [1, 0] with prefix_len 2 is a hit too.
-        let p3 = g.sort_perm_covering(&[1, 0], &[2], true);
+        let p3 = g.sort_perm_covering(&[1, 0], &[2]);
         assert!(Arc::ptr_eq(&p1, &p3));
         // Prefix {1} of [1, 0] is NOT the set {0}: miss, new sort.
-        let p4 = g.sort_perm_covering(&[1, 0], &[1], true);
+        let p4 = g.sort_perm_covering(&[1, 0], &[1]);
         assert!(!Arc::ptr_eq(&p1, &p4));
         drop(guard);
         let snap = rec.snapshot();
         assert_eq!(snap.counter("mining.sort_cache_hits"), 2);
         assert_eq!(snap.counter("mining.sort_cache_misses"), 2);
         assert!(snap.counter("mining.scan_rows_saved") > 0);
-        // Disabled cache: always a fresh permutation, never stored.
-        g.clear_sort_cache();
-        let q1 = g.sort_perm_covering(&[0, 1], &[1], false);
-        let q2 = g.sort_perm_covering(&[0, 1], &[1], false);
-        assert!(!Arc::ptr_eq(&q1, &q2));
-        assert_eq!(*q1, *q2);
     }
 
     #[test]
     fn cached_perm_actually_sorts() {
         let g = GroupData::compute(&rel(), &[0, 1], &[(AggFunc::Count, None)]).unwrap();
-        let perm = g.sort_perm_covering(&[1, 0], &[1], true);
+        let perm = g.sort_perm_covering(&[1, 0], &[1]);
         for w in perm.windows(2) {
             assert!(g.relation.value(w[0], 1) <= g.relation.value(w[1], 1));
         }
@@ -338,7 +303,8 @@ mod tests {
             GroupData::compute(&rel(), &[0, 1], &[(AggFunc::Count, None), (AggFunc::Sum, Some(2))])
                 .unwrap();
         for keys in [vec![0usize, 1], vec![1, 0], vec![3, 0, 1], vec![2]] {
-            let ours = g.sort_perm_covering(&keys, &[1], false);
+            g.clear_sort_cache();
+            let ours = g.sort_perm_covering(&keys, &[1]);
             let legacy = cape_data::ops::sort_perm(&g.relation, &keys);
             assert_eq!(*ours, legacy, "keys {keys:?}");
         }

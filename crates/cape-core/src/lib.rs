@@ -45,7 +45,6 @@ pub mod group_data;
 pub mod incr;
 pub mod mining;
 pub mod pattern;
-pub mod persist;
 pub mod question;
 pub mod report;
 pub mod session;

@@ -2,12 +2,15 @@
 //! pattern candidate (paper §4.1, "Using the CUBE BY operator").
 //!
 //! Fidelity note: the paper's SQL CUBE computes *all* groupings and
-//! filters with `GROUPING()`. Our cube operator pushes the ψ bound into
-//! the enumeration (groupings of size 0..ψ) to keep memory bounded; the
-//! characteristic CUBE cost — one scan maintaining *every* grouping's
-//! hash table simultaneously, including the aggregates that are invalid
-//! for a particular grouping — is preserved, and the benchmark still
-//! shows CUBE's growing overhead with the attribute count.
+//! filters with `GROUPING()`. Our cube scan builds only the maximal
+//! groupings — every attribute subset of size `min(ψ, |attrs|)` — and
+//! derives each smaller grouping from them by lattice roll-up (falling
+//! back to a base scan when no cached parent is cheap enough). The
+//! characteristic CUBE cost — one scan maintaining every maximal
+//! grouping's hash table simultaneously, including the aggregates that
+//! are invalid for a particular grouping — is preserved, and the
+//! benchmark still shows CUBE's growing overhead with the attribute
+//! count.
 
 use crate::config::{AggSelection, MiningConfig};
 use crate::error::Result;
@@ -19,7 +22,6 @@ use crate::mining::{record_mining_run, validate_config, Miner, MiningOutput};
 use crate::store::PatternStore;
 use cape_data::ops::cube;
 use cape_data::{AggFunc, AggSpec, AttrId, Relation};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// The CUBE miner.
@@ -43,30 +45,23 @@ impl Miner for CubeMiner {
             let specs: Vec<AggSpec> =
                 union_aggs.iter().map(|&(func, attr)| AggSpec { func, attr }).collect();
 
-            // With roll-up on, only the *maximal* groupings come from the
-            // cube scan; every smaller grouping derives from them through
-            // the lattice (the slices carry the full union aggregate list,
-            // so any child's aggregates compose). With roll-up off, the
-            // cube materializes all groupings as before.
-            let min_size = if cfg.rollup { cfg.psi.min(attrs.len()) } else { 0 };
+            // Only the *maximal* groupings come from the cube scan; every
+            // smaller grouping derives from them through the lattice (the
+            // slices carry the full union aggregate list, so any child's
+            // aggregates compose).
+            let min_size = cfg.psi.min(attrs.len());
             let slices = cube(rel, &attrs, min_size, cfg.psi, &specs)?;
             cape_obs::counter_add("mining.group_queries", 1); // one cube query
 
-            let lattice = Mutex::new(LatticeRollup::new(rel.num_rows(), cfg));
-            let mut by_dims: HashMap<Vec<AttrId>, Arc<GroupData>> = HashMap::new();
+            let lattice = Mutex::new(LatticeRollup::new(rel.num_rows()));
             for slice in slices {
-                let gd = Arc::new(GroupData::from_parts(
-                    slice.dims.clone(),
-                    slice.relation,
-                    &union_aggs,
-                ));
-                lattice.lock().expect("lattice").seed(Arc::clone(&gd), specs.clone());
-                by_dims.insert(slice.dims, gd);
+                let gd = Arc::new(GroupData::from_parts(slice.dims, slice.relation, &union_aggs));
+                lattice.lock().expect("lattice").seed(gd, specs.clone());
             }
 
             let gs = group_sets(&attrs, cfg.psi);
             let mut stores: Vec<PatternStore> = gs.iter().map(|_| PatternStore::new()).collect();
-            for &i in &plan_order(&gs, cfg.rollup) {
+            for &i in &plan_order(&gs) {
                 let g = &gs[i];
                 // Only the aggregates valid for this grouping (A ∉ G).
                 let aggs: Vec<(AggFunc, Option<AttrId>)> = union_aggs
@@ -77,14 +72,7 @@ impl Miner for CubeMiner {
                 if aggs.is_empty() {
                     continue;
                 }
-                let gd = if cfg.rollup {
-                    materialize_group(rel, g, &aggs, &lattice, cfg.columnar_fit)?
-                } else {
-                    match by_dims.get(g) {
-                        Some(gd) => Arc::clone(gd),
-                        None => continue,
-                    }
-                };
+                let gd = materialize_group(rel, g, &aggs, &lattice)?;
                 for split in splits_of(g) {
                     mine_split(rel, cfg, &gd, &split, &aggs, &mut stores[i])?;
                 }

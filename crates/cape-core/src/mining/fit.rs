@@ -11,9 +11,9 @@ use std::collections::HashMap;
 
 /// The batched kernels agree with the exact kernels to far below this
 /// band. A GoF landing within it of θ would let last-ulp differences flip
-/// the hold decision against the row-oriented path, so such fragments are
-/// re-derived with the exact kernel — the same guard the incremental
-/// stats path applies (`cape_core::incr`).
+/// the hold decision against the exact `fit` that NAIVE runs, so such
+/// fragments are re-derived with the exact kernel — the same guard the
+/// incremental stats path applies (`cape_core::incr`).
 const GOF_EDGE: f64 = 1e-9;
 
 /// One pattern candidate sharing a given `(F, V)` split: the aggregate
@@ -59,10 +59,6 @@ pub struct FitOutcome {
 /// Extraction runs over the typed column slabs (one enum branch per
 /// column per block, raw `i64`/`f64` loads per row) and falls back to
 /// per-cell `Value` dispatch only for columns that degraded to `Mixed`.
-/// Both paths feed the identical `fit` kernels in the identical row
-/// order, so results are bit-for-bit equal — see
-/// [`fit_split_rows`] for the always-row-oriented variant kept as the
-/// benchmark baseline and `--no-columnar` escape hatch.
 pub fn fit_split(
     grouped: &Relation,
     perm: &[usize],
@@ -71,36 +67,8 @@ pub fn fit_split(
     candidates: &[SplitCandidate],
     thresholds: &Thresholds,
 ) -> Vec<Option<FitOutcome>> {
-    fit_split_impl(grouped, perm, f_cols, v_cols, candidates, thresholds, true)
-}
-
-/// Row-oriented [`fit_split`]: per-cell `Value` materialization and
-/// dispatch, exactly the pre-columnar extraction loop. Selected by
-/// `MiningConfig::columnar_fit = false` (CLI `--no-columnar`); also the
-/// baseline the scale bench compares the slab gather against.
-pub fn fit_split_rows(
-    grouped: &Relation,
-    perm: &[usize],
-    f_cols: &[usize],
-    v_cols: &[usize],
-    candidates: &[SplitCandidate],
-    thresholds: &Thresholds,
-) -> Vec<Option<FitOutcome>> {
-    fit_split_impl(grouped, perm, f_cols, v_cols, candidates, thresholds, false)
-}
-
-fn fit_split_impl(
-    grouped: &Relation,
-    perm: &[usize],
-    f_cols: &[usize],
-    v_cols: &[usize],
-    candidates: &[SplitCandidate],
-    thresholds: &Thresholds,
-    columnar: bool,
-) -> Vec<Option<FitOutcome>> {
     // The whole gather-and-fit scan is the miner's regression stage:
-    // sample extraction (the per-`Value` dispatch the columnar path
-    // eliminates) plus the model fits. Classifying it under `regress.`
+    // sample extraction plus the model fits. Classifying it under `regress.`
     // makes `MiningStats::regression_time` measure what the batched
     // kernels actually move. Inner `regress.fit` spans nest below and are
     // not double-counted by the phase breakdown.
@@ -155,35 +123,11 @@ fn fit_split_impl(
         // row.
         let mut n_x_missing = 0usize;
         if needs_numeric_x {
-            let block = &perm[start..end];
-            if columnar {
-                gather_xs_columnar(grouped, v_cols, block, &mut xs_rows, &mut x_missing);
-                n_x_missing = x_missing.iter().filter(|&&m| m).count();
-            } else {
-                xs_rows.clear();
-                x_missing.clear();
-                for &p in block {
-                    let mut x = Vec::with_capacity(v_cols.len());
-                    let mut missing = false;
-                    for &c in v_cols {
-                        match grouped.value(p, c).as_f64() {
-                            Some(v) => x.push(v),
-                            None => {
-                                x.push(0.0);
-                                missing = true;
-                            }
-                        }
-                    }
-                    if missing {
-                        n_x_missing += 1;
-                    }
-                    x_missing.push(missing);
-                    xs_rows.push(x);
-                }
-            }
+            gather_xs(grouped, v_cols, &perm[start..end], &mut xs_rows, &mut x_missing);
+            n_x_missing = x_missing.iter().filter(|&&m| m).count();
             // Flat predictor slab for the batched single-predictor OLS
             // kernel (row-major `xs_rows` stays the fallback shape).
-            if columnar && v_cols.len() == 1 {
+            if v_cols.len() == 1 {
                 xs_flat.clear();
                 xs_flat.extend(xs_rows.iter().map(|r| r[0]));
             }
@@ -197,21 +141,7 @@ fn fit_split_impl(
             let dense = &mut ys_dense[j];
             raw.clear();
             dense.clear();
-            let block = &perm[start..end];
-            ys_is_dense[j] = if columnar {
-                gather_ys_columnar(grouped, col, block, raw, dense)
-            } else {
-                let mut all_present = true;
-                for &p in block {
-                    let v = grouped.value(p, col).as_f64();
-                    raw.push(v);
-                    match v {
-                        Some(y) => dense.push(y),
-                        None => all_present = false,
-                    }
-                }
-                all_present
-            };
+            ys_is_dense[j] = gather_ys(grouped, col, &perm[start..end], raw, dense);
         }
 
         for ((cand, &slot), partial) in candidates.iter().zip(&col_slot).zip(&mut partials) {
@@ -241,21 +171,17 @@ fn fit_split_impl(
                 continue; // nulls reduced the usable evidence below δ
             }
             fragments_fitted += 1;
-            // Columnar path: Const and single-predictor Lin fits run the
-            // chunked slab kernels over the flat buffers. A GoF inside
-            // the θ knife-edge band (or a kernel error) falls back to the
-            // exact kernel so hold decisions match the row path exactly.
+            // Const and single-predictor Lin fits run the chunked slab
+            // kernels over the flat buffers. A GoF inside the θ knife-edge
+            // band (or a kernel error) falls back to the exact kernel so
+            // hold decisions match NAIVE's exact `fit`.
             let dense = ys_is_dense[slot] && (!lin || n_x_missing == 0);
-            let batched = if columnar {
-                match cand.model {
-                    ModelType::Const => Some(fit_constant_batch(ys)),
-                    ModelType::Lin if lin && v_cols.len() == 1 && dense => {
-                        Some(fit_linear1_batch(&xs_flat, ys))
-                    }
-                    _ => None,
+            let batched = match cand.model {
+                ModelType::Const => Some(fit_constant_batch(ys)),
+                ModelType::Lin if lin && v_cols.len() == 1 && dense => {
+                    Some(fit_linear1_batch(&xs_flat, ys))
                 }
-            } else {
-                None
+                _ => None,
             };
             let fitted = match batched {
                 Some(Ok(f)) if (f.gof - thresholds.theta).abs() >= GOF_EDGE => Ok(f),
@@ -308,9 +234,9 @@ fn fit_split_impl(
 /// Gather the aggregate column `col` through the permutation block into
 /// the shared `raw`/`dense` buffers, returning whether every row was
 /// present. The column's enum is matched once per block; inner loops run
-/// over raw slab words. Produces exactly what the row-oriented loop
-/// produces (`Value::as_f64` of each cell in block order).
-fn gather_ys_columnar(
+/// over raw slab words. Produces `Value::as_f64` of each cell in block
+/// order.
+fn gather_ys(
     grouped: &Relation,
     col: usize,
     block: &[usize],
@@ -363,7 +289,7 @@ fn gather_ys_columnar(
                 all_present
             }
         }
-        // Mixed (or string) column: per-cell dispatch, same as the row path.
+        // Mixed (or string) column: per-cell dispatch.
         None => {
             let mut all_present = true;
             for &p in block {
@@ -381,8 +307,8 @@ fn gather_ys_columnar(
 
 /// Gather predictor rows through the permutation block, column by column,
 /// into the reused row-major buffers. Missing (NULL / non-numeric) cells
-/// become 0.0 with the row flagged, identical to the row-oriented loop.
-fn gather_xs_columnar(
+/// become 0.0 with the row flagged.
+fn gather_xs(
     grouped: &Relation,
     v_cols: &[usize],
     block: &[usize],

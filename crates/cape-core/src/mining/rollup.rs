@@ -8,27 +8,27 @@
 //! derived `GroupData` is row-identical to a base scan — the parent's
 //! groups are in base first-appearance order, so re-grouping them in
 //! parent order reproduces the base first-appearance order — which keeps
-//! every miner's output byte-equivalent with roll-up on or off (modulo
-//! float summation order, covered by the differential suite's tolerance).
+//! every miner's output equal to a base scan's (modulo float summation
+//! order, covered by the differential suite's tolerance).
 //!
 //! Memory is bounded: cached parents are evicted least-recently-used once
-//! their total group-row count exceeds the configured budget.
+//! their total group-row count exceeds [`ROLLUP_BUDGET_ROWS`].
 
-use crate::config::MiningConfig;
 use crate::error::Result;
 use crate::group_data::GroupData;
 use cape_data::ops::{rollup_aggregate, rollup_supported};
 use cape_data::{AggFunc, AggSpec, AttrId, Relation};
 use std::sync::{Arc, Mutex};
 
-/// Visit order over `group_sets` output: identity when roll-up is off
-/// (preserving the legacy increasing-size walk), decreasing set size
-/// (stable within a size) when on, so parents precede children.
-pub fn plan_order(gs: &[Vec<AttrId>], rollup: bool) -> Vec<usize> {
+/// Bounded-memory budget for roll-up parents: total cached *group* rows
+/// across materializations before least-recently-used eviction.
+const ROLLUP_BUDGET_ROWS: usize = 2_000_000;
+
+/// Visit order over `group_sets` output: decreasing set size (stable
+/// within a size), so parents precede children.
+pub fn plan_order(gs: &[Vec<AttrId>]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..gs.len()).collect();
-    if rollup {
-        order.sort_by(|&a, &b| gs[b].len().cmp(&gs[a].len()).then(a.cmp(&b)));
-    }
+    order.sort_by(|&a, &b| gs[b].len().cmp(&gs[a].len()).then(a.cmp(&b)));
     order
 }
 
@@ -43,7 +43,6 @@ struct CacheEntry {
 /// `GroupData` keyed by its dimension set, with LRU eviction past
 /// `budget_rows` total cached group rows.
 pub struct LatticeRollup {
-    enabled: bool,
     base_rows: usize,
     budget_rows: usize,
     tick: u64,
@@ -64,28 +63,21 @@ enum Found {
 
 impl LatticeRollup {
     /// Fresh state for a run over a base relation of `base_rows` rows.
-    pub fn new(base_rows: usize, cfg: &MiningConfig) -> Self {
-        LatticeRollup {
-            enabled: cfg.rollup,
-            base_rows,
-            budget_rows: cfg.rollup_budget_rows,
-            tick: 0,
-            entries: Vec::new(),
-        }
+    pub fn new(base_rows: usize) -> Self {
+        Self::with_budget(base_rows, ROLLUP_BUDGET_ROWS)
+    }
+
+    fn with_budget(base_rows: usize, budget_rows: usize) -> Self {
+        LatticeRollup { base_rows, budget_rows, tick: 0, entries: Vec::new() }
     }
 
     /// Pre-populate the cache (the CUBE miner seeds the maximal slices its
     /// single cube query produced).
     pub fn seed(&mut self, gd: Arc<GroupData>, specs: Vec<AggSpec>) {
-        if self.enabled {
-            self.insert(gd, specs);
-        }
+        self.insert(gd, specs);
     }
 
     fn find(&mut self, dims: &[AttrId], child_specs: &[AggSpec]) -> Found {
-        if !self.enabled {
-            return Found::None;
-        }
         self.tick += 1;
         let tick = self.tick;
         if let Some(e) = self.entries.iter_mut().find(|e| e.dims == dims) {
@@ -127,9 +119,6 @@ impl LatticeRollup {
     }
 
     fn insert(&mut self, gd: Arc<GroupData>, specs: Vec<AggSpec>) {
-        if !self.enabled {
-            return;
-        }
         self.tick += 1;
         self.entries.push(CacheEntry {
             dims: gd.group_attrs.clone(),
@@ -167,7 +156,6 @@ pub fn materialize_group(
     g: &[AttrId],
     aggs: &[(AggFunc, Option<AttrId>)],
     lattice: &Mutex<LatticeRollup>,
-    columnar: bool,
 ) -> Result<Arc<GroupData>> {
     let specs: Vec<AggSpec> = aggs.iter().map(|&(func, attr)| AggSpec { func, attr }).collect();
     let (found, base_rows) = {
@@ -195,7 +183,7 @@ pub fn materialize_group(
             Ok(gd)
         }
         Found::None => {
-            let gd = Arc::new(GroupData::compute_with_layout(rel, g, aggs, columnar)?);
+            let gd = Arc::new(GroupData::compute(rel, g, aggs)?);
             cape_obs::counter_add("mining.group_queries", 1);
             cape_obs::counter_add("mining.rollup_misses", 1);
             lattice.lock().expect("rollup lattice poisoned").insert(Arc::clone(&gd), specs);
@@ -214,12 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_order_modes() {
+    fn plan_order_visits_parents_first() {
         let gs = group_sets(&[0, 1, 2], 3);
-        // Legacy walk: identity.
-        assert_eq!(plan_order(&gs, false), (0..gs.len()).collect::<Vec<_>>());
-        // Roll-up walk: decreasing size, stable within a size.
-        let order = plan_order(&gs, true);
+        // Decreasing size, stable within a size.
+        let order = plan_order(&gs);
         let sizes: Vec<usize> = order.iter().map(|&i| gs[i].len()).collect();
         let mut sorted = sizes.clone();
         sorted.sort_by(|a, b| b.cmp(a));
@@ -230,14 +216,13 @@ mod tests {
     #[test]
     fn children_roll_up_from_parents() {
         let rel = rel();
-        let cfg = MiningConfig::default();
-        let lattice = Mutex::new(LatticeRollup::new(rel.num_rows(), &cfg));
+        let lattice = Mutex::new(LatticeRollup::new(rel.num_rows()));
         let aggs = [(AggFunc::Count, None)];
         let rec = cape_obs::Recorder::new();
         let guard = rec.install();
         // Materialize the apex first (decreasing-size order).
-        let apex = materialize_group(&rel, &[0, 1, 2], &aggs, &lattice, true).unwrap();
-        let child = materialize_group(&rel, &[0, 1], &aggs, &lattice, true).unwrap();
+        let apex = materialize_group(&rel, &[0, 1, 2], &aggs, &lattice).unwrap();
+        let child = materialize_group(&rel, &[0, 1], &aggs, &lattice).unwrap();
         drop(guard);
         let snap = rec.snapshot();
         assert_eq!(snap.counter("mining.group_queries"), 1, "child must not rescan the base");
@@ -250,26 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_lattice_always_scans() {
-        let rel = rel();
-        let cfg = MiningConfig { rollup: false, ..MiningConfig::default() };
-        let lattice = Mutex::new(LatticeRollup::new(rel.num_rows(), &cfg));
-        let aggs = [(AggFunc::Count, None)];
-        let rec = cape_obs::Recorder::new();
-        let guard = rec.install();
-        materialize_group(&rel, &[0, 1, 2], &aggs, &lattice, true).unwrap();
-        materialize_group(&rel, &[0, 1], &aggs, &lattice, true).unwrap();
-        drop(guard);
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter("mining.group_queries"), 2);
-        assert_eq!(snap.counter("mining.rollup_hits"), 0);
-    }
-
-    #[test]
     fn budget_evicts_lru() {
         let rel = rel();
-        let cfg = MiningConfig { rollup_budget_rows: 30, ..MiningConfig::default() };
-        let mut lat = LatticeRollup::new(rel.num_rows(), &cfg);
+        let mut lat = LatticeRollup::with_budget(rel.num_rows(), 30);
         let aggs = [(AggFunc::Count, None)];
         // pubs(4, 6, _): |{0,1,2}| = 48 groups, |{0,1}| = 24, |{0}| = 4.
         let g012 = Arc::new(GroupData::compute(&rel, &[0, 1, 2], &aggs).unwrap());
@@ -287,8 +255,7 @@ mod tests {
     #[test]
     fn smallest_parent_is_chosen() {
         let rel = rel();
-        let cfg = MiningConfig::default();
-        let mut lat = LatticeRollup::new(rel.num_rows(), &cfg);
+        let mut lat = LatticeRollup::new(rel.num_rows());
         let aggs = [(AggFunc::Count, None)];
         let g012 = Arc::new(GroupData::compute(&rel, &[0, 1, 2], &aggs).unwrap());
         let g01 = Arc::new(GroupData::compute(&rel, &[0, 1], &aggs).unwrap());

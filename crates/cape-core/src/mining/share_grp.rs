@@ -9,7 +9,7 @@ use crate::config::MiningConfig;
 use crate::error::Result;
 use crate::group_data::GroupData;
 use crate::mining::candidates::{group_sets, model_valid_for, splits_of, Split};
-use crate::mining::fit::{fit_split, fit_split_rows, SplitCandidate};
+use crate::mining::fit::{fit_split, SplitCandidate};
 use crate::mining::rollup::{materialize_group, plan_order, LatticeRollup};
 use crate::mining::{make_instance, record_mining_run, validate_config, Miner, MiningOutput};
 use crate::pattern::Arp;
@@ -31,19 +31,18 @@ impl Miner for ShareGrpMiner {
         record_mining_run(|| {
             let attrs = cfg.candidate_attrs(rel);
             let gs = group_sets(&attrs, cfg.psi);
-            let lattice = Mutex::new(LatticeRollup::new(rel.num_rows(), cfg));
+            let lattice = Mutex::new(LatticeRollup::new(rel.num_rows()));
 
             // Roll-up visits the lattice parents-first (decreasing size);
-            // per-set stores are merged back in candidate order so the
-            // resulting pattern order is identical either way.
+            // per-set stores are merged back in candidate order.
             let mut slices: Vec<PatternStore> = gs.iter().map(|_| PatternStore::new()).collect();
-            for &i in &plan_order(&gs, cfg.rollup) {
+            for &i in &plan_order(&gs) {
                 let g = &gs[i];
                 let aggs = cfg.resolve_aggs(rel, g);
                 if aggs.is_empty() {
                     continue;
                 }
-                let gd = materialize_group(rel, g, &aggs, &lattice, cfg.columnar_fit)?;
+                let gd = materialize_group(rel, g, &aggs, &lattice)?;
                 for split in splits_of(g) {
                     mine_split(rel, cfg, &gd, &split, &aggs, &mut slices[i])?;
                 }
@@ -89,17 +88,8 @@ pub(crate) fn mine_split(
     // model); cache hits/misses are reported separately.
     cape_obs::counter_add("mining.sort_queries", 1);
     let sort_keys: Vec<usize> = f_cols.iter().chain(&v_cols).copied().collect();
-    let fitter = if cfg.columnar_fit { fit_split } else { fit_split_rows };
-    let outcomes = if cfg.sort_cache {
-        let perm = gd.sort_perm_covering(&sort_keys, &[f_cols.len()], true);
-        fitter(&gd.relation, &perm, &f_cols, &v_cols, &candidates, &cfg.thresholds)
-    } else {
-        // Pre-kernel data path: one materialized `ORDER BY` copy per
-        // split, scanned in storage order.
-        let sorted = cape_data::ops::sort_by(&gd.relation, &sort_keys);
-        let identity: Vec<usize> = (0..sorted.num_rows()).collect();
-        fitter(&sorted, &identity, &f_cols, &v_cols, &candidates, &cfg.thresholds)
-    };
+    let perm = gd.sort_perm_covering(&sort_keys, &[f_cols.len()]);
+    let outcomes = fit_split(&gd.relation, &perm, &f_cols, &v_cols, &candidates, &cfg.thresholds);
     for (cand, outcome) in candidates.iter().zip(outcomes) {
         if let Some(outcome) = outcome {
             let arp = Arp::new(

@@ -261,9 +261,10 @@ mod tests {
     #[test]
     fn with_store_roundtrip() {
         let s = session();
-        let mut buf = Vec::new();
-        crate::persist::write_store(&mut buf, s.store()).unwrap();
-        let store = crate::persist::read_store(&buf[..], s.relation()).unwrap();
+        let rel = s.relation();
+        let bytes =
+            crate::snapshot::encode_snapshot(rel.schema(), &MiningConfig::default(), s.store());
+        let store = crate::snapshot::read_snapshot(&bytes, rel).unwrap().store;
         let s2 = CapeSession::with_store(shops(), store);
         assert!(s2.mining_stats().is_none());
         let keys = [("shop", Value::str("A")), ("day", Value::Int(3))];

@@ -139,9 +139,8 @@ pub struct SnapshotContents {
     /// The relation schema recorded at save time (validated to match the
     /// live relation on load).
     pub schema: Schema,
-    /// The mining configuration the store was produced with. Execution
-    /// knobs that do not affect the mined output (roll-up, sort cache,
-    /// initial FDs) are not persisted and carry their defaults.
+    /// The mining configuration the store was produced with. Initial
+    /// FDs are not persisted and carry their default.
     pub config: MiningConfig,
     /// The reloaded pattern store, with group data recomputed from the
     /// live relation.

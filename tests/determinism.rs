@@ -22,10 +22,9 @@ fn mining_twice_persists_identically() {
     let rel = dblp::generate(&DblpConfig::with_rows(3_000));
     let mut bytes = Vec::new();
     for _ in 0..2 {
-        let store = ArpMiner.mine(&rel, &mining_config()).unwrap().store;
-        let mut buf = Vec::new();
-        cape::core::persist::write_store(&mut buf, &store).unwrap();
-        bytes.push(buf);
+        let cfg = mining_config();
+        let store = ArpMiner.mine(&rel, &cfg).unwrap().store;
+        bytes.push(cape::core::snapshot::encode_snapshot(rel.schema(), &cfg, &store));
     }
     assert_eq!(bytes[0], bytes[1], "persisted stores differ between runs");
 }

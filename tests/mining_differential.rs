@@ -1,21 +1,22 @@
-//! Mining differential suite: every miner variant produces the same
-//! pattern store, with the columnar kernels (lattice roll-up + sort
-//! permutation cache) on *and* off.
+//! Mining differential suite: every optimized miner produces the pattern
+//! store of the paper's NAIVE miner (Algorithms 3–4), the oracle.
 //!
-//! For each dataset (synthetic DBLP and Crime samples) and kernel toggle,
-//! assert that
+//! For each input (synthetic DBLP and Crime samples, a repetitive
+//! relation on which the lattice kernels fire, and edge relations with
+//! zero rows or an all-NULL float column), assert that
 //!
-//! * `NaiveMiner` (one query per candidate, the reference semantics),
 //! * `ShareGrpMiner` (one query per `F ∪ V`),
 //! * `CubeMiner` (a single cube query),
 //! * `ParallelMiner { threads: 1 }` and `ParallelMiner { threads: 4 }`
 //!
-//! mine the *same* ARP set, and that every local pattern agrees on its
-//! fitted model parameters, goodness of fit, support, and deviation
-//! bounds to 1e-9 — the tolerance absorbing float summation-order
-//! differences between roll-up derivation and base scans.
+//! mine the *same* ARP set as `NaiveMiner`, and that every local pattern
+//! agrees on its fitted model parameters, goodness of fit, support, and
+//! deviation bounds to 1e-9 — the tolerance absorbing float
+//! summation-order differences between roll-up derivation, the batched
+//! fit kernels, and NAIVE's per-fragment queries.
 
 use cape::core::config::{AggSelection, MiningConfig, Thresholds};
+use cape::core::mining::candidates::group_sets;
 use cape::core::mining::{
     CubeMiner, Miner, MiningOutput, NaiveMiner, ParallelMiner, ShareGrpMiner,
 };
@@ -63,18 +64,31 @@ fn repetitive_sample() -> Relation {
     rel
 }
 
-fn repetitive_cfg(kernels: bool) -> MiningConfig {
+/// Edge relations: `(k, x, y)` with zero rows, and with every `y` NULL.
+fn edge_samples() -> [Relation; 2] {
+    let schema =
+        Schema::new([("k", ValueType::Str), ("x", ValueType::Int), ("y", ValueType::Float)])
+            .unwrap();
+    let empty = Relation::new(schema.clone());
+    let mut all_null = Relation::new(schema);
+    for k in ["a", "b", "c"] {
+        for x in 0..4 {
+            all_null.push_row(vec![Value::str(k), Value::Int(x), Value::Null]).unwrap();
+        }
+    }
+    [empty, all_null]
+}
+
+fn repetitive_cfg() -> MiningConfig {
     MiningConfig {
         thresholds: Thresholds::new(0.15, 4, 0.3, 3),
         psi: 3,
         aggs: AggSelection::AllNumeric,
-        rollup: kernels,
-        sort_cache: kernels,
         ..MiningConfig::default()
     }
 }
 
-fn dblp_cfg(kernels: bool) -> MiningConfig {
+fn dblp_cfg() -> MiningConfig {
     MiningConfig {
         thresholds: Thresholds::new(0.15, 4, 0.3, 3),
         psi: 3,
@@ -82,21 +96,27 @@ fn dblp_cfg(kernels: bool) -> MiningConfig {
         // derivations inside the miners.
         aggs: AggSelection::AllNumeric,
         exclude: vec![dblp::attrs::PUBID],
-        rollup: kernels,
-        sort_cache: kernels,
         ..MiningConfig::default()
     }
 }
 
-fn crime_cfg(kernels: bool) -> MiningConfig {
+fn crime_cfg() -> MiningConfig {
     MiningConfig {
         thresholds: Thresholds::new(0.15, 4, 0.3, 3),
         psi: 3,
         // Keep the first four attributes (the core of the paper's crime
-        // queries) so the 5-way × 2-toggle grid stays fast.
+        // queries) so the grid stays fast.
         exclude: (4..crime::N_ATTRS).collect(),
-        rollup: kernels,
-        sort_cache: kernels,
+        ..MiningConfig::default()
+    }
+}
+
+fn edge_cfg() -> MiningConfig {
+    MiningConfig {
+        thresholds: Thresholds::new(0.2, 2, 0.3, 1),
+        psi: 2,
+        // min/max over the all-NULL `y` are NULL in every group.
+        aggs: AggSelection::AllNumeric,
         ..MiningConfig::default()
     }
 }
@@ -201,60 +221,63 @@ fn assert_equiv(
     }
 }
 
-fn run_grid(rel: &Relation, cfg_of: impl Fn(bool) -> MiningConfig, dataset: &str) {
-    // The kernels-off naive run is the reference semantics; everything —
-    // including the kernels-on naive run — must match it.
-    let reference = canonicalize(&NaiveMiner.mine(rel, &cfg_of(false)).unwrap(), rel);
-    assert!(!reference.is_empty(), "{dataset}: no patterns mined — the grid proves nothing");
-    for kernels in [false, true] {
-        let cfg = cfg_of(kernels);
-        let miners: Vec<(&str, Box<dyn Miner>)> = vec![
-            ("NAIVE", Box::new(NaiveMiner)),
-            ("SHARE-GRP", Box::new(ShareGrpMiner)),
-            ("CUBE", Box::new(CubeMiner)),
-            ("PAR-1", Box::new(ParallelMiner { threads: 1 })),
-            ("PAR-4", Box::new(ParallelMiner { threads: 4 })),
-        ];
-        for (name, miner) in miners {
-            let out = miner.mine(rel, &cfg).unwrap();
-            let label = format!("{dataset}/kernels={kernels}/{name}");
-            assert_equiv(&reference, &out, rel, &label);
-        }
+/// Mine `rel` with NAIVE and every optimized miner, assert they all
+/// agree, and return the number of ARPs NAIVE found.
+fn run_grid(rel: &Relation, cfg: &MiningConfig, dataset: &str) -> usize {
+    let reference = canonicalize(&NaiveMiner.mine(rel, cfg).unwrap(), rel);
+    let miners: Vec<(&str, Box<dyn Miner>)> = vec![
+        ("SHARE-GRP", Box::new(ShareGrpMiner)),
+        ("CUBE", Box::new(CubeMiner)),
+        ("PAR-1", Box::new(ParallelMiner { threads: 1 })),
+        ("PAR-4", Box::new(ParallelMiner { threads: 4 })),
+    ];
+    for (name, miner) in miners {
+        let out = miner.mine(rel, cfg).unwrap();
+        assert_equiv(&reference, &out, rel, &format!("{dataset}/{name}"));
     }
+    reference.len()
 }
 
 #[test]
 fn dblp_five_way_differential() {
-    let rel = dblp_sample();
-    run_grid(&rel, dblp_cfg, "dblp");
+    let n = run_grid(&dblp_sample(), &dblp_cfg(), "dblp");
+    assert!(n > 0, "dblp: no patterns mined — the grid proves nothing");
 }
 
 #[test]
 fn crime_five_way_differential() {
-    let rel = crime_sample();
-    run_grid(&rel, crime_cfg, "crime");
+    let n = run_grid(&crime_sample(), &crime_cfg(), "crime");
+    assert!(n > 0, "crime: no patterns mined — the grid proves nothing");
 }
 
 #[test]
 fn repetitive_five_way_differential() {
-    let rel = repetitive_sample();
-    run_grid(&rel, repetitive_cfg, "repetitive");
+    let n = run_grid(&repetitive_sample(), &repetitive_cfg(), "repetitive");
+    assert!(n > 0, "repetitive: no patterns mined — the grid proves nothing");
+}
+
+/// A zero-row relation mines nothing on every path; an all-NULL float
+/// column neither panics nor diverges from NAIVE.
+#[test]
+fn edge_relations_match_naive() {
+    let [empty, all_null] = edge_samples();
+    assert_eq!(run_grid(&empty, &edge_cfg(), "zero-rows"), 0);
+    let n = run_grid(&all_null, &edge_cfg(), "all-null");
+    assert!(n > 0, "all-null: no patterns mined — the grid proves nothing");
 }
 
 /// The kernels must actually fire on this workload — otherwise the
-/// differential grid silently degenerates into comparing identical
-/// code paths.
+/// differential grid never exercises roll-up derivation or cached sort
+/// orders.
 #[test]
 fn kernels_are_exercised() {
     let rel = repetitive_sample();
-    let out = ShareGrpMiner.mine(&rel, &repetitive_cfg(true)).unwrap();
+    let cfg = repetitive_cfg();
+    let out = ShareGrpMiner.mine(&rel, &cfg).unwrap();
     assert!(out.stats.rollup_hits > 0, "roll-up never fired");
     assert!(out.stats.sort_cache_hits > 0, "sort cache never hit");
     assert!(out.stats.scan_rows_saved > 0, "no scan rows saved");
-    let off = ShareGrpMiner.mine(&rel, &repetitive_cfg(false)).unwrap();
-    assert_eq!(off.stats.rollup_hits, 0);
-    assert_eq!(off.stats.sort_cache_hits, 0);
-    assert_eq!(off.stats.scan_rows_saved, 0);
-    // Roll-up replaces base scans: strictly fewer group queries.
-    assert!(out.stats.group_queries < off.stats.group_queries);
+    // Roll-up replaces base scans: fewer group queries than group sets.
+    let sets = group_sets(&cfg.candidate_attrs(&rel), cfg.psi).len();
+    assert!(out.stats.group_queries < sets, "{} queries for {sets} sets", out.stats.group_queries);
 }

@@ -263,9 +263,8 @@ fn unicode_and_weird_strings_survive_the_pipeline() {
     let store = ArpMiner.mine(&rel, &lenient()).unwrap().store;
     assert!(!store.is_empty());
     // Persistence round-trips the weird keys.
-    let mut buf = Vec::new();
-    cape::core::persist::write_store(&mut buf, &store).unwrap();
-    let back = cape::core::persist::read_store(&buf[..], &rel).unwrap();
+    let bytes = cape::core::snapshot::encode_snapshot(rel.schema(), &lenient(), &store);
+    let back = cape::core::snapshot::read_snapshot(&bytes, &rel).unwrap().store;
     assert_eq!(back.num_local_patterns(), store.num_local_patterns());
     // Explanation for one of the weird fragments works.
     let uq = UserQuestion::from_query(
