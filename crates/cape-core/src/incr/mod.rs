@@ -35,7 +35,7 @@ use crate::mining::candidates::{group_sets, splits_of, Split};
 use crate::mining::fit::{FitOutcome, SplitCandidate};
 use crate::mining::{make_instance, share_grp::build_candidates, validate_config};
 use crate::pattern::Arp;
-use crate::snapshot::{load_snapshot, save_snapshot, schema_fingerprint, SnapshotError};
+use crate::snapshot::{load_snapshot_config, save_snapshot, schema_fingerprint, SnapshotError};
 use crate::store::{LocalPattern, PatternStore};
 use cape_data::agg::Accumulator;
 use cape_data::{AggFunc, AggSpec, AttrId, Relation, Schema, Value, ValueType};
@@ -581,16 +581,17 @@ impl IncrStore {
         Ok(incr)
     }
 
-    /// Open a durable store: load the snapshot at `store_path` (for the
-    /// mining configuration and schema check), replay the sidecar WAL
-    /// over `base`, and rebuild the incremental state over the combined
-    /// relation. Creates an empty WAL beside the snapshot if none exists.
+    /// Open a durable store: validate the snapshot at `store_path` and
+    /// read its mining configuration (its patterns are rebuilt, not
+    /// decoded), replay the sidecar WAL over `base`, and rebuild the
+    /// incremental state over the combined relation. Creates an empty
+    /// WAL beside the snapshot if none exists.
     ///
     /// A WAL that fails validation is a typed error — a partial or
     /// reordered delta is never installed.
     pub fn open(store_path: impl Into<PathBuf>, base: &Relation) -> Result<Self, IncrError> {
         let store_path = store_path.into();
-        let contents = load_snapshot(&store_path, base)?;
+        let config = load_snapshot_config(&store_path, base.schema())?;
         let schema_fp = schema_fingerprint(base.schema());
         let wal_path = wal_path_for(&store_path);
         let arity = base.schema().arity();
@@ -615,7 +616,7 @@ impl IncrStore {
             }
         };
 
-        let mut incr = Self::build(relation, contents.config)?;
+        let mut incr = Self::build(relation, config)?;
         incr.delta_rows = delta_rows;
         let wal_size = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
         incr.durability = Some(Durability { store_path, wal_path, schema_fp, last_seq, wal_size });

@@ -566,7 +566,16 @@ pub(crate) fn rebuild_store(
     Ok(store)
 }
 
-fn read_inner(bytes: &[u8], rel: &Relation) -> Result<SnapshotContents, SnapshotError> {
+/// A v1 snapshot whose header, section CRCs and footer are verified,
+/// whose schema matches the live relation, and whose config is decoded.
+/// The patterns section is still encoded.
+struct Checked<'a> {
+    schema: Schema,
+    config: MiningConfig,
+    patterns: &'a [u8],
+}
+
+fn check<'a>(bytes: &'a [u8], live: &Schema) -> Result<Checked<'a>, SnapshotError> {
     // Header. A short prefix of the valid magic is a truncation, any
     // other leading bytes are not a snapshot at all.
     if bytes.len() < MAGIC.len() {
@@ -624,21 +633,21 @@ fn read_inner(bytes: &[u8], rel: &Relation) -> Result<SnapshotContents, Snapshot
         return Err(SnapshotError::SectionCorrupt { section: "footer" });
     }
 
-    // Decode payloads and validate against the live relation.
+    // Decode the small sections and validate against the live relation.
     let (_, schema) = decode_schema_section(payloads[0])?;
-    validate_schema(&schema, rel.schema())?;
+    validate_schema(&schema, live)?;
     let config = decode_config_section(payloads[1])?;
-    let pendings = decode_patterns_section(payloads[2])?;
-    let store = rebuild_store(pendings, rel)?;
-    Ok(SnapshotContents { schema, config, store })
+    Ok(Checked { schema, config, patterns: payloads[2] })
 }
 
-/// Decode and validate a snapshot from bytes, recomputing group data
-/// from `rel`. Counts `store.load_ns` / `store.bytes` on success and
-/// `store.corrupt_rejects` on every rejection.
-pub fn read_snapshot(bytes: &[u8], rel: &Relation) -> Result<SnapshotContents, SnapshotError> {
+/// Run `read` over `bytes`, counting `store.load_ns` / `store.bytes` on
+/// success and `store.corrupt_rejects` on every rejection.
+fn counted<T>(
+    bytes: &[u8],
+    read: impl FnOnce(&[u8]) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
     let t0 = std::time::Instant::now();
-    let out = read_inner(bytes, rel);
+    let out = read(bytes);
     match &out {
         Ok(_) => {
             cape_obs::observe_ns("store.load_ns", t0.elapsed().as_nanos() as u64);
@@ -648,6 +657,28 @@ pub fn read_snapshot(bytes: &[u8], rel: &Relation) -> Result<SnapshotContents, S
         Err(_) => cape_obs::counter_add("store.corrupt_rejects", 1),
     }
     out
+}
+
+/// Decode and validate a snapshot from bytes, recomputing group data
+/// from `rel`. Counts `store.load_ns` / `store.bytes` on success and
+/// `store.corrupt_rejects` on every rejection.
+pub fn read_snapshot(bytes: &[u8], rel: &Relation) -> Result<SnapshotContents, SnapshotError> {
+    counted(bytes, |bytes| {
+        let Checked { schema, config, patterns } = check(bytes, rel.schema())?;
+        let store = rebuild_store(decode_patterns_section(patterns)?, rel)?;
+        Ok(SnapshotContents { schema, config, store })
+    })
+}
+
+/// The mining configuration of the snapshot file at `path`, after every
+/// check [`read_snapshot`] makes except decoding the patterns and
+/// rebuilding their group data — for callers that re-mine the store.
+pub(crate) fn load_snapshot_config(
+    path: &Path,
+    live: &Schema,
+) -> Result<MiningConfig, SnapshotError> {
+    let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(format!("read: {e}")))?;
+    counted(&bytes, |bytes| check(bytes, live).map(|c| c.config))
 }
 
 /// Load and validate a snapshot file against `rel`.
