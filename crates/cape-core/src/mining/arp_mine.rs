@@ -4,15 +4,15 @@
 use crate::config::MiningConfig;
 use crate::error::Result;
 use crate::group_data::GroupData;
-use crate::mining::candidates::group_sets;
+use crate::mining::candidates::{group_sets, splits_of, Split};
 use crate::mining::fit::fit_split;
 use crate::mining::share_grp::build_candidates;
 use crate::mining::{make_instance, record_mining_run, validate_config, Miner, MiningOutput};
 use crate::pattern::Arp;
-use crate::store::PatternStore;
+use crate::store::{PatternInstance, PatternStore};
 use cape_data::stats::attr_stats;
 use cape_data::{AttrId, FdDiscovery, FdSet, Relation};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// The ARP-MINE miner with optional FD pruning.
@@ -70,6 +70,10 @@ impl Miner for ArpMiner {
 /// ExploreSortOrders (Algorithm 5): enumerate permutations `S` of `G`,
 /// sort once per *useful* permutation, and evaluate every `(F, V)` pair
 /// whose `F` is a prefix set of `S` that has not been covered yet.
+///
+/// Patterns are pushed in [`splits_of`] order, not in the order the
+/// permutations find them — the order every other miner and `IncrStore`
+/// use, so top-k ties rank the same whichever of them built the store.
 pub(crate) fn explore_sort_orders(
     rel: &Relation,
     cfg: &MiningConfig,
@@ -80,13 +84,14 @@ pub(crate) fn explore_sort_orders(
 ) -> Result<()> {
     let aggs = cfg.resolve_aggs(rel, g);
     let mut covered: HashSet<Vec<AttrId>> = HashSet::new(); // F sets (sorted)
+    let mut found: HashMap<Vec<AttrId>, Vec<PatternInstance>> = HashMap::new(); // by F
 
     // FD admissibility is independent of the sort order, so check it up
     // front: an FD-pruned (F, V) counts as covered without ever requiring
     // a sort — this is where the Appendix-D optimization saves queries,
     // not just regressions.
     if cfg.fd_pruning && !fds.is_empty() {
-        for split in crate::mining::candidates::splits_of(g) {
+        for split in splits_of(g) {
             if !validate_fds(&split.f, &split.v, fds) {
                 cape_obs::counter_add("mining.skipped_by_fd", 1);
                 covered.insert(split.f);
@@ -122,7 +127,7 @@ pub(crate) fn explore_sort_orders(
         for f in new_fs {
             covered.insert(f.clone());
             let v: Vec<AttrId> = g.iter().copied().filter(|a| !f.contains(a)).collect();
-            let split = crate::mining::candidates::Split { f, v };
+            let split = Split { f, v };
             let f_cols = gd.cols_of_attrs(&split.f).expect("F within G");
             let v_cols = gd.cols_of_attrs(&split.v).expect("V within G");
             let candidates = build_candidates(rel, cfg, gd, &split, &aggs);
@@ -140,9 +145,15 @@ pub(crate) fn explore_sort_orders(
                         cand.agg_attr,
                         cand.model,
                     );
-                    store.push(make_instance(arp, Arc::clone(gd), cand.agg_col, outcome));
+                    let inst = make_instance(arp, Arc::clone(gd), cand.agg_col, outcome);
+                    found.entry(split.f.clone()).or_default().push(inst);
                 }
             }
+        }
+    }
+    for split in splits_of(g) {
+        for inst in found.remove(&split.f).unwrap_or_default() {
+            store.push(inst);
         }
     }
     Ok(())
