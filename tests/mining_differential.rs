@@ -7,23 +7,26 @@
 //!
 //! * `ShareGrpMiner` (one query per `F ∪ V`),
 //! * `CubeMiner` (a single cube query),
-//! * `ParallelMiner { threads: 1 }` and `ParallelMiner { threads: 4 }`
+//! * `ArpMiner` (ARP-MINE, the miner `cape mine` runs),
+//! * `ParallelMiner { threads: 1 }` and `ParallelMiner { threads: 4 }`,
+//! * `IncrStore::build` (the store `cape serve --store` rebuilds)
 //!
-//! mine the *same* ARP set as `NaiveMiner`, and that every local pattern
-//! agrees on its fitted model parameters, goodness of fit, support, and
-//! deviation bounds to 1e-9 — the tolerance absorbing float
-//! summation-order differences between roll-up derivation, the batched
-//! fit kernels, and NAIVE's per-fragment queries.
+//! produce the *same* ARP sequence as `NaiveMiner` — the order matters,
+//! because top-k breaks exact score ties by pattern index — and that
+//! every local pattern agrees on its fitted model parameters, goodness
+//! of fit, support, and deviation bounds to 1e-9 — the tolerance
+//! absorbing float summation-order differences between roll-up
+//! derivation, the batched fit kernels, and NAIVE's per-fragment
+//! queries.
 
 use cape::core::config::{AggSelection, MiningConfig, Thresholds};
 use cape::core::mining::candidates::group_sets;
-use cape::core::mining::{
-    CubeMiner, Miner, MiningOutput, NaiveMiner, ParallelMiner, ShareGrpMiner,
-};
+use cape::core::mining::{ArpMiner, CubeMiner, Miner, NaiveMiner, ParallelMiner, ShareGrpMiner};
+use cape::core::{IncrStore, PatternStore};
 use cape::data::{Relation, Schema, Value, ValueType};
 use cape::datagen::{crime, dblp, CrimeConfig, DblpConfig};
 use cape::regress::Model;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const TOL: f64 = 1e-9;
 
@@ -158,9 +161,11 @@ struct ArpCanon {
     locals: BTreeMap<String, LocalCanon>,
 }
 
-fn canonicalize(out: &MiningOutput, rel: &Relation) -> BTreeMap<String, ArpCanon> {
-    let mut map = BTreeMap::new();
-    for (_, p) in out.store.iter() {
+/// The store's ARPs in store order, each keyed by its display form.
+fn canonicalize(store: &PatternStore, rel: &Relation) -> Vec<(String, ArpCanon)> {
+    let mut seq = Vec::new();
+    let mut seen = BTreeSet::new();
+    for (_, p) in store.iter() {
         let mut locals = BTreeMap::new();
         for (key, local) in &p.locals {
             locals.insert(
@@ -175,13 +180,14 @@ fn canonicalize(out: &MiningOutput, rel: &Relation) -> BTreeMap<String, ArpCanon
                 },
             );
         }
-        let prev = map.insert(
-            p.arp.display(rel.schema()),
+        let arp = p.arp.display(rel.schema());
+        assert!(seen.insert(arp.clone()), "duplicate ARP {arp} in one store");
+        seq.push((
+            arp,
             ArpCanon { confidence: p.confidence, num_supported: p.num_supported, locals },
-        );
-        assert!(prev.is_none(), "duplicate ARP in one store");
+        ));
     }
-    map
+    seq
 }
 
 fn assert_close(a: f64, b: f64, what: &str) {
@@ -189,17 +195,16 @@ fn assert_close(a: f64, b: f64, what: &str) {
 }
 
 fn assert_equiv(
-    reference: &BTreeMap<String, ArpCanon>,
-    out: &MiningOutput,
+    reference: &[(String, ArpCanon)],
+    store: &PatternStore,
     rel: &Relation,
     label: &str,
 ) {
-    let got = canonicalize(out, rel);
-    let ref_keys: Vec<&String> = reference.keys().collect();
-    let got_keys: Vec<&String> = got.keys().collect();
-    assert_eq!(ref_keys, got_keys, "{label}: ARP sets differ");
-    for (arp, a) in reference {
-        let b = &got[arp];
+    let got = canonicalize(store, rel);
+    let ref_keys: Vec<&String> = reference.iter().map(|(arp, _)| arp).collect();
+    let got_keys: Vec<&String> = got.iter().map(|(arp, _)| arp).collect();
+    assert_eq!(ref_keys, got_keys, "{label}: ARP sequences differ");
+    for ((arp, a), (_, b)) in reference.iter().zip(&got) {
         assert_close(a.confidence, b.confidence, &format!("{label}/{arp}: confidence"));
         assert_eq!(a.num_supported, b.num_supported, "{label}/{arp}: num_supported");
         let la: Vec<&String> = a.locals.keys().collect();
@@ -221,20 +226,23 @@ fn assert_equiv(
     }
 }
 
-/// Mine `rel` with NAIVE and every optimized miner, assert they all
-/// agree, and return the number of ARPs NAIVE found.
+/// Mine `rel` with NAIVE, every optimized miner and `IncrStore::build`,
+/// assert they all agree, and return the number of ARPs NAIVE found.
 fn run_grid(rel: &Relation, cfg: &MiningConfig, dataset: &str) -> usize {
-    let reference = canonicalize(&NaiveMiner.mine(rel, cfg).unwrap(), rel);
+    let reference = canonicalize(&NaiveMiner.mine(rel, cfg).unwrap().store, rel);
     let miners: Vec<(&str, Box<dyn Miner>)> = vec![
         ("SHARE-GRP", Box::new(ShareGrpMiner)),
         ("CUBE", Box::new(CubeMiner)),
+        ("ARP-MINE", Box::new(ArpMiner)),
         ("PAR-1", Box::new(ParallelMiner { threads: 1 })),
         ("PAR-4", Box::new(ParallelMiner { threads: 4 })),
     ];
     for (name, miner) in miners {
         let out = miner.mine(rel, cfg).unwrap();
-        assert_equiv(&reference, &out, rel, &format!("{dataset}/{name}"));
+        assert_equiv(&reference, &out.store, rel, &format!("{dataset}/{name}"));
     }
+    let incr = IncrStore::build(rel.clone(), cfg.clone()).unwrap();
+    assert_equiv(&reference, &incr.store(), rel, &format!("{dataset}/INCR"));
     reference.len()
 }
 
