@@ -56,7 +56,7 @@ impl Miner for CubeMiner {
             let lattice = Mutex::new(LatticeRollup::new(rel.num_rows()));
             for slice in slices {
                 let gd = Arc::new(GroupData::from_parts(slice.dims, slice.relation, &union_aggs));
-                lattice.lock().expect("lattice").seed(gd, specs.clone());
+                lattice.lock().expect("lattice").insert(gd, specs.clone());
             }
 
             let gs = group_sets(&attrs, cfg.psi);

@@ -68,10 +68,10 @@ pub fn fit_split(
     thresholds: &Thresholds,
 ) -> Vec<Option<FitOutcome>> {
     // The whole gather-and-fit scan is the miner's regression stage:
-    // sample extraction plus the model fits. Classifying it under `regress.`
-    // makes `MiningStats::regression_time` measure what the batched
-    // kernels actually move. Inner `regress.fit` spans nest below and are
-    // not double-counted by the phase breakdown.
+    // sample extraction plus the model fits. Classifying it under
+    // `regress.` makes `MiningStats::regression_time` measure what the
+    // batched kernels actually move. Inner `regress.fit` spans nest below
+    // and are not double-counted by the phase breakdown.
     let _span = cape_obs::span("regress.fit_split");
     cape_obs::counter_add("mining.candidates_considered", candidates.len() as u64);
     let mut fragments_fitted = 0u64;

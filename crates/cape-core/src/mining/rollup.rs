@@ -71,12 +71,6 @@ impl LatticeRollup {
         LatticeRollup { base_rows, budget_rows, tick: 0, entries: Vec::new() }
     }
 
-    /// Pre-populate the cache (the CUBE miner seeds the maximal slices its
-    /// single cube query produced).
-    pub fn seed(&mut self, gd: Arc<GroupData>, specs: Vec<AggSpec>) {
-        self.insert(gd, specs);
-    }
-
     fn find(&mut self, dims: &[AttrId], child_specs: &[AggSpec]) -> Found {
         self.tick += 1;
         let tick = self.tick;
@@ -118,7 +112,10 @@ impl LatticeRollup {
         }
     }
 
-    fn insert(&mut self, gd: Arc<GroupData>, specs: Vec<AggSpec>) {
+    /// Cache a materialized group set, evicting least-recently-used
+    /// entries past the budget (the CUBE miner seeds the maximal slices
+    /// its single cube query produced this way).
+    pub fn insert(&mut self, gd: Arc<GroupData>, specs: Vec<AggSpec>) {
         self.tick += 1;
         self.entries.push(CacheEntry {
             dims: gd.group_attrs.clone(),
