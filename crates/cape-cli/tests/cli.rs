@@ -1256,3 +1256,88 @@ fn usage_documents_exit_code_4() {
     assert!(text.contains("cape serve --listen"), "serve missing from usage:\n{text}");
     assert!(text.contains("4 question references an aggregate column"), "exit 4 undocumented");
 }
+
+/// Kills the wrapped server process when the test ends, pass or fail.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A store mined with `--fd` cannot be maintained incrementally. `append`
+/// refuses it with exit 3 and leaves no `.wal` beside it, so reads keep
+/// working, and `serve` falls back to read-only serving: explain answers
+/// 200 and append answers 409.
+#[test]
+fn fd_store_serves_read_only_and_never_gains_a_wal() {
+    use cape_net::testclient::Client;
+    use cape_obs::Json;
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let dir = temp_dir("fdstore");
+    let (base, delta) = write_split_csv(&dir, 10);
+    let store = dir.join("fd.cape").to_string_lossy().into_owned();
+    let wal = format!("{store}.wal");
+    let out = cape()
+        .args(["mine", "--csv", &base, "--schema", SCHEMA, "--theta", "0.1", "--delta", "3"])
+        .args(["--lambda", "0.3", "--support", "2", "--psi", "3", "--fd", "--save", &store])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "mine --fd failed: {}", String::from_utf8_lossy(&out.stderr));
+
+    let out =
+        run(&["append", "--csv", &base, "--schema", SCHEMA, "--store", &store, "--rows", &delta]);
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("cannot be maintained incrementally"),
+        "untyped refusal: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!Path::new(&wal).exists(), "append left a WAL beside the store");
+
+    let explain = || {
+        cape()
+            .args(["explain", "--csv", &base, "--schema", SCHEMA, "--store", &store])
+            .args(["--sql", BATCH_SQL, "--tuple", "a0,2005,KDD", "--dir", "low", "--k", "5"])
+            .output()
+            .expect("binary runs")
+    };
+    let out = explain();
+    assert!(out.status.success(), "explain after append: {}", String::from_utf8_lossy(&out.stderr));
+
+    let child = cape()
+        .args(["serve", "--listen", "127.0.0.1:0", "--csv", &base, "--schema", SCHEMA])
+        .args(["--store", &store, "--name", "pub", "-q"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve starts");
+    let mut server = KillOnDrop(child);
+    let mut line = String::new();
+    BufReader::new(server.0.stdout.take().expect("stdout")).read_line(&mut line).unwrap();
+    let Some(addr) = line.trim().strip_prefix("listening on ") else {
+        let mut stderr = String::new();
+        server.0.stderr.take().expect("stderr").read_to_string(&mut stderr).unwrap();
+        panic!("serve did not start: {stderr}");
+    };
+    let mut client = Client::connect(addr).expect("connect");
+    let body = Json::parse(&format!(
+        r#"{{"sql": "{BATCH_SQL}", "tuple": ["a0", 2005, "KDD"], "dir": "low", "k": 5}}"#
+    ))
+    .unwrap();
+    let resp = client.post_json("/v1/pub/explain", &body).expect("explain");
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let rows = Json::parse(r#"{"rows": [["a0", 2005, "KDD"]]}"#).unwrap();
+    let resp = client.post_json("/admin/stores/pub/append", &rows).expect("append");
+    assert_eq!(resp.status, 409, "{}", String::from_utf8_lossy(&resp.body));
+    drop(server);
+    assert!(!Path::new(&wal).exists(), "serve left a WAL beside the store");
+
+    let out = explain();
+    assert!(out.status.success(), "explain after serve: {}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -21,7 +21,7 @@ pub use distance::{AttrDistanceFn, DistanceModel};
 pub use drill::{offer_candidates, raw_candidates, DrillResult, RawCandidate};
 pub use generalize::{generalizations, GeneralizationFinding};
 pub use naive::NaiveExplainer;
-pub use optimized::OptimizedExplainer;
+pub use optimized::{expl_gen_opt, OptimizedExplainer};
 pub use provenance::{provenance_of, summarize as summarize_provenance, ProvenanceSummary};
 pub use score::{norm_factor, relevant_fragment, score_value, SCORE_EPSILON};
 pub use summarize::{

@@ -35,7 +35,7 @@ impl TopKExplainer for NaiveExplainer {
             };
             stats.patterns_relevant += 1;
             let norm = norm_factor(p, uq);
-            for p2_idx in store.refinements_of(p_idx) {
+            for &p2_idx in store.refinements_of(p_idx) {
                 stats.refinements_considered += 1;
                 let p2 = store.get(p2_idx).expect("index from store");
                 drill_down(p_idx, p, &f_vals, norm, p2_idx, p2, uq, cfg, &mut topk, &mut stats);

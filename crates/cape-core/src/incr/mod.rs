@@ -38,6 +38,7 @@ use crate::pattern::Arp;
 use crate::snapshot::{load_snapshot_config, save_snapshot, schema_fingerprint, SnapshotError};
 use crate::store::{LocalPattern, PatternStore};
 use cape_data::agg::Accumulator;
+use cape_data::ops::grouped_output_schema;
 use cape_data::{AggFunc, AggSpec, AttrId, Relation, Schema, Value, ValueType};
 use cape_regress::{fit, Fitted, ModelType};
 use stats::{ConstStats, LinStats};
@@ -212,7 +213,9 @@ impl GroupState {
         g: Vec<AttrId>,
         aggs: Vec<(AggFunc, Option<AttrId>)>,
     ) -> Result<Self, IncrError> {
-        let schema = grouped_schema(rel.schema(), &g, &aggs)?;
+        let specs: Vec<AggSpec> = aggs.iter().map(|&(func, attr)| AggSpec { func, attr }).collect();
+        let schema = grouped_output_schema(rel.schema(), &g, &specs, true)
+            .map_err(|e| IncrError::Core(e.to_string()))?;
         let grouped = Relation::new(schema);
         // Throwaway GroupData over the empty grouped relation, used only
         // to enumerate candidates with the exact batch logic.
@@ -498,35 +501,17 @@ fn predictor_row(grouped: &Relation, slot: usize, v_cols: &[usize]) -> Option<Ve
     Some(x)
 }
 
-/// The grouped relation's schema: `G` columns, one output column per
-/// aggregate (`count` is integer, everything else float), then `__rows`.
-/// Mirrors `cape-data`'s internal `grouped_output_schema`.
-fn grouped_schema(
-    base: &Schema,
-    g: &[AttrId],
-    aggs: &[(AggFunc, Option<AttrId>)],
-) -> Result<Schema, IncrError> {
-    let mut schema = base.project(g).map_err(|e| IncrError::Core(e.to_string()))?;
-    for &(func, attr) in aggs {
-        let spec = AggSpec { func, attr };
-        let attr_name = match attr {
-            Some(a) => {
-                Some(base.attr(a).map_err(|e| IncrError::Core(e.to_string()))?.name().to_string())
-            }
-            None => None,
-        };
-        let ty = match func {
-            AggFunc::Count => ValueType::Int,
-            _ => ValueType::Float,
-        };
-        schema
-            .push(cape_data::Attribute::new(spec.output_name(attr_name.as_deref()), ty))
-            .map_err(|e| IncrError::Core(e.to_string()))?;
+/// Reject configurations that cannot be maintained incrementally:
+/// invalid ones, and `fd_pruning`, whose candidate space changes with
+/// the data.
+fn check_maintainable(cfg: &MiningConfig) -> Result<(), IncrError> {
+    validate_config(cfg).map_err(|e| IncrError::Config(e.to_string()))?;
+    if cfg.fd_pruning {
+        return Err(IncrError::Config(
+            "fd_pruning prunes candidates data-dependently; maintain without it".to_string(),
+        ));
     }
-    schema
-        .push(cape_data::Attribute::new("__rows", ValueType::Int))
-        .map_err(|e| IncrError::Core(e.to_string()))?;
-    Ok(schema)
+    Ok(())
 }
 
 /// A mined store maintained incrementally under streaming appends.
@@ -538,7 +523,9 @@ pub struct IncrStore {
     delta_rows: Vec<Vec<Value>>,
     durability: Option<Durability>,
     /// Auto-compaction threshold: once the WAL exceeds this many bytes,
-    /// `append` compacts before returning. `None` disables.
+    /// `append` compacts before returning. Always
+    /// [`DEFAULT_WAL_COMPACT_BYTES`] outside this module's tests, which
+    /// also use `None` to disable it.
     wal_compact_bytes: Option<u64>,
 }
 
@@ -552,12 +539,7 @@ impl IncrStore {
     /// (currently: `fd_pruning`, whose candidate space changes with the
     /// data).
     pub fn build(relation: Relation, cfg: MiningConfig) -> Result<Self, IncrError> {
-        validate_config(&cfg).map_err(|e| IncrError::Config(e.to_string()))?;
-        if cfg.fd_pruning {
-            return Err(IncrError::Config(
-                "fd_pruning prunes candidates data-dependently; maintain without it".to_string(),
-            ));
-        }
+        check_maintainable(&cfg)?;
         let attrs = cfg.candidate_attrs(&relation);
         let mut groups = Vec::new();
         for g in group_sets(&attrs, cfg.psi) {
@@ -585,13 +567,18 @@ impl IncrStore {
     /// read its mining configuration (its patterns are rebuilt, not
     /// decoded), replay the sidecar WAL over `base`, and rebuild the
     /// incremental state over the combined relation. Creates an empty
-    /// WAL beside the snapshot if none exists.
+    /// WAL beside the snapshot if none exists — but only once the
+    /// snapshot's configuration has passed the checks of
+    /// [`build`](Self::build), so a rejected store is left as it was.
     ///
     /// A WAL that fails validation is a typed error — a partial or
     /// reordered delta is never installed.
     pub fn open(store_path: impl Into<PathBuf>, base: &Relation) -> Result<Self, IncrError> {
         let store_path = store_path.into();
         let config = load_snapshot_config(&store_path, base.schema())?;
+        // Before the WAL is touched: a store that cannot be maintained
+        // must not gain a `.wal` that sends every later read down this path.
+        check_maintainable(&config)?;
         let schema_fp = schema_fingerprint(base.schema());
         let wal_path = wal_path_for(&store_path);
         let arity = base.schema().arity();
@@ -768,18 +755,6 @@ impl IncrStore {
     /// Current on-disk WAL size in bytes (`None` for in-memory stores).
     pub fn wal_size(&self) -> Option<u64> {
         self.durability.as_ref().map(|d| d.wal_size)
-    }
-
-    /// The auto-compaction threshold, if enabled (the default is
-    /// [`DEFAULT_WAL_COMPACT_BYTES`]).
-    pub fn wal_compact_threshold(&self) -> Option<u64> {
-        self.wal_compact_bytes
-    }
-
-    /// Set (or with `None`, disable) the WAL size threshold past which
-    /// [`IncrStore::append`] compacts automatically.
-    pub fn set_wal_compact_threshold(&mut self, threshold: Option<u64>) {
-        self.wal_compact_bytes = threshold;
     }
 
     /// Rows appended since the base relation (the WAL's logical content).
@@ -1054,9 +1029,9 @@ mod tests {
         save_snapshot(&store_path, base.schema(), &cfg, &mined).unwrap();
 
         let mut incr = IncrStore::open(&store_path, &base).unwrap();
-        assert_eq!(incr.wal_compact_threshold(), Some(DEFAULT_WAL_COMPACT_BYTES));
+        assert_eq!(incr.wal_compact_bytes, Some(DEFAULT_WAL_COMPACT_BYTES));
         let threshold = 512u64;
-        incr.set_wal_compact_threshold(Some(threshold));
+        incr.wal_compact_bytes = Some(threshold);
 
         // One consolidated record holds the *entire* delta, so the lower
         // bound grows with it; what auto-compaction must bound is the
@@ -1089,7 +1064,7 @@ mod tests {
 
         // Disabling the threshold stops auto-compaction.
         let mut incr = reopened;
-        incr.set_wal_compact_threshold(None);
+        incr.wal_compact_bytes = None;
         let before = std::fs::metadata(incr.wal_path().unwrap()).unwrap().len();
         let report = incr.append(vec![full.row(0)]).unwrap();
         assert!(!report.auto_compacted);

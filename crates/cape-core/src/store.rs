@@ -99,6 +99,10 @@ impl PatternInstance {
 #[derive(Debug, Clone, Default)]
 pub struct PatternStore {
     instances: Vec<PatternInstance>,
+    /// `refinements[i]`: ascending indices of every pattern refining
+    /// pattern `i`, itself included. Kept current by [`push`](Self::push),
+    /// so explanation never rescans the store for refinements.
+    refinements: Vec<Vec<usize>>,
 }
 
 impl PatternStore {
@@ -109,13 +113,31 @@ impl PatternStore {
 
     /// Build from mined instances.
     pub fn from_instances(instances: Vec<PatternInstance>) -> Self {
-        PatternStore { instances }
+        let mut store = PatternStore::new();
+        for instance in instances {
+            store.push(instance);
+        }
+        store
     }
 
-    /// Add a pattern instance; returns its index.
+    /// Add a pattern instance; returns its index. Updates the refinement
+    /// table both ways: the new pattern joins the list of every pattern
+    /// it refines, and gets its own list of the patterns refining it.
     pub fn push(&mut self, instance: PatternInstance) -> usize {
+        let idx = self.instances.len();
+        let mut own = Vec::new();
+        for (i, other) in self.instances.iter().enumerate() {
+            if other.arp.is_refined_by(&instance.arp) {
+                self.refinements[i].push(idx);
+            }
+            if instance.arp.is_refined_by(&other.arp) {
+                own.push(i);
+            }
+        }
+        own.push(idx);
         self.instances.push(instance);
-        self.instances.len() - 1
+        self.refinements.push(own);
+        idx
     }
 
     /// Number of stored patterns.
@@ -139,28 +161,11 @@ impl PatternStore {
     }
 
     /// Indices of all patterns `P'` that refine the pattern at `idx`
-    /// (Definition 6: `F' ⊇ F`, same `V`, same aggregate). The pattern
-    /// itself is included when a same-shape pattern exists under another
-    /// model; `P' = P` (identical index) is also returned because the
-    /// drill-down with `F' = F` is a legal explanation source.
-    pub fn refinements_of(&self, idx: usize) -> Vec<usize> {
-        let Some(base) = self.instances.get(idx) else {
-            return Vec::new();
-        };
-        self.instances
-            .iter()
-            .enumerate()
-            .filter(|(_, cand)| base.arp.is_refined_by(&cand.arp))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Refinement indices for *every* pattern at once: entry `i` equals
-    /// `refinements_of(i)`. [`refinements_of`](Self::refinements_of) is an
-    /// O(n) scan per call; services answering many questions against an
-    /// immutable store precompute this table once and share it.
-    pub fn refinement_index(&self) -> Vec<Vec<usize>> {
-        (0..self.instances.len()).map(|i| self.refinements_of(i)).collect()
+    /// (Definition 6: `F' ⊇ F`, same `V`, same aggregate), ascending. The
+    /// pattern itself is included (`P' = P`): the drill-down with
+    /// `F' = F` is a legal explanation source. Empty for an unknown index.
+    pub fn refinements_of(&self, idx: usize) -> &[usize] {
+        self.refinements.get(idx).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Total number of local patterns across all instances — the paper's
@@ -196,7 +201,7 @@ impl PatternStore {
                 out.push(trimmed);
             }
         }
-        PatternStore { instances: out }
+        PatternStore::from_instances(out)
     }
 
     /// Human-readable summary of the stored patterns.
@@ -319,11 +324,10 @@ mod tests {
         let mut store = PatternStore::new();
         let i1 = store.push(p1);
         let i2 = store.push(p2);
-        let refs = store.refinements_of(i1);
-        assert!(refs.contains(&i1)); // self
-        assert!(refs.contains(&i2)); // strict refinement
-        assert_eq!(store.refinements_of(i2), vec![i2]);
-        assert_eq!(store.refinements_of(99), Vec::<usize>::new());
+        assert_eq!(store.refinements_of(i1), [i1, i2]); // self, then the strict refinement
+        assert_eq!(store.refinements_of(i2), [i2]);
+        assert!(store.refinements_of(99).is_empty());
+        assert!(PatternStore::new().refinements_of(0).is_empty());
     }
 
     #[test]

@@ -57,8 +57,9 @@ pub fn aggregate_with_row_count_unpacked(
 /// Output schema of `γ_{group, aggs}`: the projected group columns, one
 /// column per aggregate (`count` → Int, everything else → Float), and an
 /// optional trailing `__rows` Int column. Shared with the roll-up operator
-/// so derived aggregations are schema-identical to direct ones.
-pub(crate) fn grouped_output_schema(
+/// and with incremental maintenance, so every grouped relation built
+/// without running this operator is schema-identical to its output.
+pub fn grouped_output_schema(
     base: &Schema,
     group: &[AttrId],
     aggs: &[AggSpec],

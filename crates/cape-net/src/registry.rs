@@ -52,7 +52,7 @@ impl std::error::Error for AppendError {}
 pub struct StoreEpoch {
     /// Monotonic per-slot version, starting at 1 for the initial load.
     pub generation: u64,
-    /// Relation + store + refinement index for this version.
+    /// Relation + store for this version.
     pub handle: PatternStoreHandle,
     /// Worker pool bound to this version (cache is epoch-local, so a new
     /// snapshot always starts cache-cold — no stale entries can leak
@@ -86,41 +86,51 @@ pub struct StoreSlot {
     incr: Mutex<Option<IncrStore>>,
 }
 
+/// The handle an incremental slot serves: `incr`'s live relation (base
+/// plus appended rows) and its current pattern store.
+fn incr_handle(incr: &IncrStore) -> PatternStoreHandle {
+    PatternStoreHandle::from_arcs(Arc::new(incr.relation().clone()), incr.store())
+}
+
 impl StoreSlot {
-    fn new(name: String, handle: PatternStoreHandle, serve_cfg: ServeConfig) -> Self {
-        let relation = handle.relation_arc();
+    /// A slot whose first epoch (generation 1) serves `handle`. `base` is
+    /// the relation snapshots are validated against; `incr`, when given,
+    /// makes the slot accept appends.
+    fn new(
+        name: String,
+        base: Arc<Relation>,
+        handle: PatternStoreHandle,
+        incr: Option<IncrStore>,
+        serve_cfg: ServeConfig,
+    ) -> Self {
         let service = ExplainService::start(handle.clone(), serve_cfg.clone());
         let epoch = Arc::new(StoreEpoch { generation: 1, handle, service });
         StoreSlot {
             name,
-            relation,
+            relation: base,
             serve_cfg,
             epoch: RwLock::new(epoch),
             swaps: AtomicU64::new(0),
-            incr: Mutex::new(None),
+            incr: Mutex::new(incr),
         }
     }
 
-    /// Build a slot backed by an incremental store. `base` is the
-    /// relation *before* WAL replay (the snapshot's row set); the first
-    /// epoch serves `incr`'s replayed relation and refreshed patterns.
-    fn new_incremental(
-        name: String,
-        base: Relation,
-        incr: IncrStore,
-        serve_cfg: ServeConfig,
-    ) -> Self {
-        let handle = PatternStoreHandle::from_arcs(Arc::new(incr.relation().clone()), incr.store());
-        let service = ExplainService::start(handle.clone(), serve_cfg.clone());
-        let epoch = Arc::new(StoreEpoch { generation: 1, handle, service });
-        StoreSlot {
-            name,
-            relation: Arc::new(base),
-            serve_cfg,
-            epoch: RwLock::new(epoch),
-            swaps: AtomicU64::new(0),
-            incr: Mutex::new(Some(incr)),
-        }
+    /// Install `handle` as the next epoch; returns its generation and the
+    /// epoch it replaced. The worker pool starts *before* the epoch write
+    /// lock is taken, so the lock protects only the pointer swap. The
+    /// generation is allocated *inside* the critical section so
+    /// assignment and installation are atomic: two concurrent installs
+    /// can never land out of generation order (an earlier loader
+    /// overwriting a later one would make observed generations go
+    /// backwards). The caller drops the returned epoch once it has
+    /// released its own locks: if that is the last reference, the old
+    /// pool joins its workers there.
+    fn install(&self, handle: PatternStoreHandle) -> (u64, Arc<StoreEpoch>) {
+        let service = ExplainService::start(handle.clone(), self.serve_cfg.clone());
+        let mut slot = self.epoch.write().expect("epoch lock");
+        let generation = slot.generation + 1;
+        let next = Arc::new(StoreEpoch { generation, handle, service });
+        (generation, std::mem::replace(&mut *slot, next))
     }
 
     /// The store's registry name.
@@ -159,9 +169,9 @@ impl StoreSlot {
 
     /// Atomically replace the current epoch with one loaded from a
     /// `.cape` snapshot. The expensive work (file read, validation,
-    /// group-data rebuild, refinement index, worker spawn) happens
-    /// *before* the write lock is taken; the lock protects only the
-    /// pointer swap. On any error the current epoch is untouched.
+    /// store rebuild, worker spawn) happens *before* the epoch write lock
+    /// is taken (see `install`). On any error the current epoch is
+    /// untouched.
     pub fn swap_snapshot(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
         // Serialize with appends: an append committing to the *old* WAL
         // while the swap re-targets the slot would install epochs whose
@@ -174,33 +184,18 @@ impl StoreSlot {
                 IncrError::Snapshot(s) => s,
                 other => SnapshotError::Io(other.to_string()),
             })?;
-            let handle =
-                PatternStoreHandle::from_arcs(Arc::new(incr.relation().clone()), incr.store());
-            (handle, Some(incr))
+            (incr_handle(&incr), Some(incr))
         } else {
             let contents = load_snapshot_auto(path, &self.relation)?;
             let handle =
                 PatternStoreHandle::from_arcs(Arc::clone(&self.relation), Arc::new(contents.store));
             (handle, None)
         };
-        let service = ExplainService::start(handle.clone(), self.serve_cfg.clone());
-        // The generation is allocated *inside* the critical section so
-        // assignment and installation are atomic: two concurrent swaps
-        // can never install epochs out of generation order (an earlier
-        // loader overwriting a later one would make observed generations
-        // go backwards).
-        let (generation, previous) = {
-            let mut slot = self.epoch.write().expect("epoch lock");
-            let generation = slot.generation + 1;
-            let next = Arc::new(StoreEpoch { generation, handle, service });
-            (generation, std::mem::replace(&mut *slot, next))
-        };
+        let (generation, previous) = self.install(handle);
         *incr_guard = next_incr;
         drop(incr_guard);
         self.swaps.fetch_add(1, Ordering::SeqCst);
         cape_obs::counter_add("net.store.swaps", 1);
-        // Dropping outside the lock: if this is the last reference the
-        // old pool joins its (idle) workers here, off the swap-lock path.
         drop(previous);
         Ok(generation)
     }
@@ -221,16 +216,7 @@ impl StoreSlot {
             // already installed.
             return Ok((self.generation(), report));
         }
-        // Build the next epoch outside the epoch write lock (relation
-        // clone, worker spawn); the lock protects only the pointer swap.
-        let handle = PatternStoreHandle::from_arcs(Arc::new(incr.relation().clone()), incr.store());
-        let service = ExplainService::start(handle.clone(), self.serve_cfg.clone());
-        let (generation, previous) = {
-            let mut slot = self.epoch.write().expect("epoch lock");
-            let generation = slot.generation + 1;
-            let next = Arc::new(StoreEpoch { generation, handle, service });
-            (generation, std::mem::replace(&mut *slot, next))
-        };
+        let (generation, previous) = self.install(incr_handle(incr));
         drop(guard);
         cape_obs::counter_add("net.store.appends", 1);
         drop(previous);
@@ -268,7 +254,8 @@ impl StoreRegistry {
         handle: PatternStoreHandle,
         serve_cfg: ServeConfig,
     ) -> Arc<StoreSlot> {
-        let slot = Arc::new(StoreSlot::new(name.to_string(), handle, serve_cfg));
+        let base = handle.relation_arc();
+        let slot = Arc::new(StoreSlot::new(name.to_string(), base, handle, None, serve_cfg));
         self.slots.write().expect("registry lock").insert(name.to_string(), Arc::clone(&slot));
         slot
     }
@@ -284,7 +271,14 @@ impl StoreRegistry {
         incr: IncrStore,
         serve_cfg: ServeConfig,
     ) -> Arc<StoreSlot> {
-        let slot = Arc::new(StoreSlot::new_incremental(name.to_string(), base, incr, serve_cfg));
+        let handle = incr_handle(&incr);
+        let slot = Arc::new(StoreSlot::new(
+            name.to_string(),
+            Arc::new(base),
+            handle,
+            Some(incr),
+            serve_cfg,
+        ));
         self.slots.write().expect("registry lock").insert(name.to_string(), Arc::clone(&slot));
         slot
     }

@@ -1,13 +1,10 @@
 //! Cache-backed, deadline-aware explanation generation.
 //!
-//! This mirrors `cape_core`'s optimized explainer (upper-bound pruning,
-//! small-NORM-first pattern order) with two additions:
-//!
-//! * the question-independent half of each drill-down is looked up in a
-//!   shared [`DrillCache`] keyed by `(F, t[F], P')`, so concurrent and
-//!   repeated questions reuse scans; and
-//! * an optional deadline is checked between `(P, P')` pairs; when it
-//!   expires the accumulated top-k is returned with `partial = true`.
+//! [`explain_cached`] runs `cape_core`'s EXPL-GEN-OPT loop
+//! ([`expl_gen_opt`]) with the request's deadline and with a drill-down
+//! step that looks the question-independent half of each drill-down up in
+//! a shared [`DrillCache`] keyed by `(F, t[F], P')`, so concurrent and
+//! repeated questions reuse scans.
 //!
 //! Without a deadline the result is **identical** to the sequential
 //! explainers: caching only changes *who computes* a drill-down, never
@@ -16,13 +13,9 @@
 
 use crate::cache::LruCache;
 use crate::shared::PatternStoreHandle;
-use cape_core::explain::score::score_upper_bound;
-use cape_core::explain::{norm_factor, relevant_fragment};
-use cape_core::explain::{
-    offer_candidates, raw_candidates, DrillResult, ExplainConfig, ExplainStats, Explanation, TopK,
-};
-use cape_core::question::{Direction, UserQuestion};
-use cape_core::store::PatternInstance;
+use cape_core::explain::{expl_gen_opt, raw_candidates, DrillResult, ExplainConfig};
+use cape_core::explain::{ExplainStats, Explanation};
+use cape_core::question::UserQuestion;
 use cape_data::{AttrId, Value};
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,14 +30,6 @@ pub type DrillKey = (Vec<AttrId>, Vec<Value>, usize);
 /// Shared LRU of drill-down scans.
 pub type DrillCache = LruCache<DrillKey, Arc<DrillResult>>;
 
-/// The direction-appropriate deviation magnitude bound `dev_↑(φ, P')`.
-fn dev_bound(p2: &PatternInstance, dir: Direction) -> f64 {
-    match dir {
-        Direction::Low => p2.max_pos_dev,
-        Direction::High => -p2.max_neg_dev,
-    }
-}
-
 /// Answer `uq` against the shared store, reusing cached drill-downs and
 /// respecting `deadline`. Returns `(explanations, stats, partial)`;
 /// `partial` is true when the deadline expired mid-search.
@@ -55,73 +40,19 @@ pub fn explain_cached(
     cfg: &ExplainConfig,
     deadline: Option<Instant>,
 ) -> (Vec<Explanation>, ExplainStats, bool) {
-    let t0 = Instant::now();
-    let span = cape_obs::span("serve.explain");
-    let store = handle.store();
-    let mut stats = ExplainStats::default();
-    let mut topk = TopK::new(cfg.k);
-    let mut partial = false;
-
-    // Relevant patterns, smallest NORM first (largest potential scores).
-    let mut relevant: Vec<(usize, Vec<Value>, f64)> = store
-        .iter()
-        .filter_map(|(idx, p)| relevant_fragment(p, uq).map(|f| (idx, f, norm_factor(p, uq))))
-        .collect();
-    stats.patterns_relevant = relevant.len();
-    relevant.sort_by(|a, b| a.2.total_cmp(&b.2));
-
-    'patterns: for (p_idx, f_vals, norm) in relevant {
-        let p = store.get(p_idx).expect("relevant index");
-        for &p2_idx in handle.refinements_of(p_idx) {
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    partial = true;
-                    break 'patterns;
-                }
-            }
-            stats.refinements_considered += 1;
-            let p2 = store.get(p2_idx).expect("refinement index");
-
-            let dev_up = dev_bound(p2, uq.dir);
-            if dev_up <= 0.0 {
-                stats.refinements_pruned += 1;
-                continue;
-            }
-            if let Some(threshold) = topk.threshold() {
-                let mut t_attrs: Vec<AttrId> = p2.arp.f().to_vec();
-                t_attrs.extend_from_slice(p2.arp.v());
-                let d_low = cfg.distance.lower_bound(&uq.group_attrs, &t_attrs);
-                let bound = score_upper_bound(dev_up, d_low, norm);
-                // Strict: equal-score candidates may still win the
-                // deterministic tie-break.
-                if bound < threshold {
-                    stats.refinements_pruned += 1;
-                    continue;
-                }
-            }
-
-            let key: DrillKey = (p.arp.f().to_vec(), f_vals.clone(), p2_idx);
-            let drill = match cache.get(&key) {
-                Some(hit) => {
-                    cape_obs::counter_add("serve.cache.hits", 1);
-                    hit
-                }
-                None => {
-                    cape_obs::counter_add("serve.cache.misses", 1);
-                    let computed = Arc::new(raw_candidates(p.arp.f(), &f_vals, p2));
-                    stats.tuples_checked += computed.rows_scanned;
-                    cache.insert(key, Arc::clone(&computed));
-                    computed
-                }
-            };
-            offer_candidates(&drill, p_idx, p2_idx, p2, norm, uq, cfg, &mut topk, &mut stats);
+    let _span = cape_obs::span("serve.explain");
+    expl_gen_opt(handle.store(), uq, cfg, deadline, |f, f_vals, p2_idx, p2| {
+        let key: DrillKey = (f.to_vec(), f_vals.to_vec(), p2_idx);
+        if let Some(hit) = cache.get(&key) {
+            cape_obs::counter_add("serve.cache.hits", 1);
+            return (hit, 0);
         }
-    }
-
-    drop(span);
-    stats.time = t0.elapsed();
-    stats.publish();
-    (topk.into_sorted_vec(), stats, partial)
+        cape_obs::counter_add("serve.cache.misses", 1);
+        let computed = Arc::new(raw_candidates(f, f_vals, p2));
+        cache.insert(key, Arc::clone(&computed));
+        let scanned = computed.rows_scanned;
+        (computed, scanned)
+    })
 }
 
 #[cfg(test)]
@@ -130,6 +61,7 @@ mod tests {
     use cape_core::config::{MiningConfig, Thresholds};
     use cape_core::mining::{Miner, ShareGrpMiner};
     use cape_core::prelude::{NaiveExplainer, OptimizedExplainer, TopKExplainer};
+    use cape_core::question::Direction;
     use cape_data::{AggFunc, Relation, Schema, ValueType};
 
     /// A DBLP-like relation with a planted counterbalance (a0 publishes a

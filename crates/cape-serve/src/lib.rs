@@ -9,13 +9,15 @@
 //!
 //! The crate provides three layers:
 //!
-//! * [`PatternStoreHandle`] — cheaply clonable shared state: relation,
-//!   store, and a precomputed refinement index.
-//! * [`explain_cached`] — a deadline-aware, cache-backed equivalent of
-//!   `cape_core`'s optimized explainer. Without a deadline it returns
+//! * [`PatternStoreHandle`] — cheaply clonable shared state: the relation
+//!   and the store (which owns the refinement table).
+//! * [`explain_cached`] — runs `cape_core`'s EXPL-GEN-OPT loop
+//!   (`cape_core::explain::expl_gen_opt`) with the drill-down cache as its
+//!   drill step and the request's deadline. Without a deadline it returns
 //!   **byte-identical** results to the sequential explainers (the
 //!   differential tests in `tests/differential.rs` assert this); with a
-//!   deadline it degrades gracefully to a partial top-k.
+//!   deadline it degrades gracefully to a partial top-k whose entries
+//!   are all correct.
 //! * [`ExplainService`] — a worker thread pool consuming a queue of
 //!   [`ExplainRequest`]s, instrumented via `cape-obs` (queue-depth gauge,
 //!   request-latency histogram, cache hit/miss counters).

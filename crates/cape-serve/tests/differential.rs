@@ -12,16 +12,25 @@
 //! "Same" means same candidate keys (pattern refinement + tuple), in the
 //! same order, with scores equal to 1e-9 — the deterministic tie-break in
 //! `cape_core::explain::topk` is what makes this well-defined.
+//!
+//! A deadline may cut an answer short but never make it wrong: every
+//! entry of a `partial` answer is a candidate of the full enumeration,
+//! with the same score.
 
 use cape_core::config::MiningConfig;
-use cape_core::explain::{ExplainConfig, Explanation};
+use cape_core::explain::{
+    norm_factor, offer_candidates, raw_candidates, relevant_fragment, ExplainConfig, ExplainStats,
+    Explanation, TopK,
+};
 use cape_core::mining::{ArpMiner, Miner};
 use cape_core::prelude::{NaiveExplainer, OptimizedExplainer, TopKExplainer};
 use cape_core::question::{Direction, UserQuestion};
 use cape_core::store::PatternStore;
 use cape_data::ops::aggregate;
-use cape_data::{AggFunc, AggSpec, AttrId, Relation};
+use cape_data::{AggFunc, AggSpec, AttrId, Relation, Value};
 use cape_serve::{DrillCache, ExplainRequest, ExplainService, PatternStoreHandle, ServeConfig};
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 const TOP_K: usize = 8;
 const QUESTIONS_PER_DATASET: usize = 24;
@@ -161,8 +170,8 @@ fn assert_flight_separates_phases(
     }
 }
 
-#[test]
-fn dblp_grid_all_strategies_agree() {
+/// The DBLP relation, its mined store, and its question grid.
+fn dblp_grid() -> (Relation, PatternStore, Vec<UserQuestion>) {
     let rel = cape_datagen::dblp::generate(&cape_datagen::dblp::DblpConfig::with_rows(6000));
     let mut mcfg = MiningConfig {
         thresholds: cape_core::config::Thresholds::new(0.15, 4, 0.3, 3),
@@ -181,7 +190,92 @@ fn dblp_grid_all_strategies_agree() {
         ],
         QUESTIONS_PER_DATASET,
     );
+    (rel, store, questions)
+}
+
+#[test]
+fn dblp_grid_all_strategies_agree() {
+    let (rel, store, questions) = dblp_grid();
     run_matrix("dblp", rel, store, questions);
+}
+
+/// Every `(P, P', t')` candidate that Definition 7 admits for `q`, with
+/// its score. Each relevant `P` offers into its own unbounded [`TopK`],
+/// so no candidate is deduplicated away against another `P`'s copy.
+fn full_enumeration(
+    store: &PatternStore,
+    q: &UserQuestion,
+    cfg: &ExplainConfig,
+) -> HashMap<(usize, usize, Vec<Value>), f64> {
+    let mut stats = ExplainStats::default();
+    let mut all = HashMap::new();
+    for (p_idx, p) in store.iter() {
+        let Some(f_vals) = relevant_fragment(p, q) else { continue };
+        let norm = norm_factor(p, q);
+        let mut topk = TopK::new(usize::MAX);
+        for &p2_idx in store.refinements_of(p_idx) {
+            let p2 = store.get(p2_idx).expect("refinement index");
+            let drill = raw_candidates(p.arp.f(), &f_vals, p2);
+            offer_candidates(&drill, p_idx, p2_idx, p2, norm, q, cfg, &mut topk, &mut stats);
+        }
+        for e in topk.into_sorted_vec() {
+            all.insert((e.pattern_idx, e.refinement_idx, e.tuple), e.score);
+        }
+    }
+    all
+}
+
+/// Deadlines of 1 µs, 2 µs, 4 µs, … until the answer comes back
+/// complete: each partial answer holds at most k entries in top-k order,
+/// and each entry is a candidate of the full enumeration with the same
+/// score. Entries are compared per `(P, P', t')`, because a partial
+/// answer may hold a lower-scored `P` for the same `(P', t')` when the
+/// deadline cut the search before the better one.
+#[test]
+fn deadline_truncates_answers_but_never_corrupts_them() {
+    let (rel, store, questions) = dblp_grid();
+    let cfg = ExplainConfig::default_for(&rel, TOP_K);
+    let handle = PatternStoreHandle::new(rel, store);
+    let mut nonempty_partials = 0usize;
+    for (qi, q) in questions.iter().enumerate() {
+        let full = full_enumeration(handle.store(), q, &cfg);
+        let (complete, _) = OptimizedExplainer.explain(handle.store(), q, &cfg);
+        let mut budget = Duration::from_micros(1);
+        loop {
+            let cache = DrillCache::new(4096);
+            let deadline = Some(Instant::now() + budget);
+            let (got, _, partial) = cape_serve::explain_cached(&handle, &cache, q, &cfg, deadline);
+            let label = format!("question {qi}, deadline {budget:?}");
+            assert!(got.len() <= TOP_K, "{label}: {} entries", got.len());
+            for pair in got.windows(2) {
+                let in_order = pair[0]
+                    .score
+                    .total_cmp(&pair[1].score)
+                    .then_with(|| pair[1].key().cmp(&pair[0].key()))
+                    .is_gt();
+                assert!(in_order, "{label}: entries out of top-k order");
+            }
+            for e in &got {
+                let key = (e.pattern_idx, e.refinement_idx, e.tuple.clone());
+                let want =
+                    full.get(&key).unwrap_or_else(|| panic!("{label}: {key:?} is not a candidate"));
+                assert!(
+                    (want - e.score).abs() < SCORE_TOL,
+                    "{label}: {key:?} scored {} vs {want}",
+                    e.score
+                );
+            }
+            if !partial {
+                assert_identical(&format!("dblp/deadline-{budget:?}"), qi, &complete, &got);
+                break;
+            }
+            if !got.is_empty() {
+                nonempty_partials += 1;
+            }
+            budget *= 2;
+        }
+    }
+    assert!(nonempty_partials > 0, "no deadline produced a non-empty partial answer");
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //!
 //! For DBLP and Crime, a store is mined in memory, persisted to a
 //! `.cape` snapshot on disk, reloaded through
-//! [`PatternStoreHandle::from_snapshot`] (the service cold-start path),
-//! and driven through the same deterministic question grid as the
+//! [`snapshot::load_snapshot_auto`] into a [`PatternStoreHandle`] (the
+//! path `cape serve` takes for a read-only store), and driven through the same deterministic question grid as the
 //! in-memory handle — via the sequential optimized explainer and the
 //! concurrent `ExplainService` at 1 and 4 workers. Candidate keys,
 //! ranks, and scores (to 1e-9) must match the in-memory answers.
@@ -82,7 +82,8 @@ fn run_snapshot_matrix(
     snapshot::save_snapshot(&path, rel.schema(), mcfg, &store).expect("save");
 
     let memory = PatternStoreHandle::new(rel.clone(), store);
-    let durable = PatternStoreHandle::from_snapshot(&path, rel).expect("load");
+    let loaded = snapshot::load_snapshot_auto(&path, &rel).expect("load");
+    let durable = PatternStoreHandle::new(rel, loaded.store);
     assert_eq!(memory.store().len(), durable.store().len(), "{label}: store size changed");
 
     let cfg = ExplainConfig::default_for(memory.relation(), TOP_K);
@@ -158,7 +159,7 @@ fn crime_snapshot_roundtrip_is_bit_identical() {
 }
 
 /// A snapshot written for one schema must refuse to serve a different
-/// relation — the service cold-start path surfaces the typed error.
+/// relation — the read-only serve path surfaces the typed error.
 #[test]
 fn snapshot_for_wrong_relation_is_rejected_at_service_construction() {
     let rel = cape_datagen::dblp::generate(&cape_datagen::dblp::DblpConfig::with_rows(1000));
@@ -170,7 +171,9 @@ fn snapshot_for_wrong_relation_is_rejected_at_service_construction() {
     snapshot::save_snapshot(&path, rel.schema(), &mcfg, &store).expect("save");
 
     let other = cape_datagen::crime::generate(&cape_datagen::crime::CrimeConfig::with_rows(100));
-    match PatternStoreHandle::from_snapshot(&path, other) {
+    match snapshot::load_snapshot_auto(&path, &other)
+        .map(|loaded| PatternStoreHandle::new(other, loaded.store))
+    {
         Err(snapshot::SnapshotError::SchemaMismatch { .. }) => {}
         other => panic!("expected SchemaMismatch, got {other:?}"),
     }
