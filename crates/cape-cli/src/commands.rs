@@ -4,7 +4,7 @@ use crate::args::Args;
 use crate::io::{load_csv, parse_schema, parse_tuple};
 use crate::CliError;
 use cape_core::explain::{render_table, BaselineExplainer, ExplainConfig, TopKExplainer};
-use cape_core::incr::wal_path_for;
+use cape_core::incr::{wal, wal_path_for};
 use cape_core::mining::{ArpMiner, Miner};
 use cape_core::prelude::OptimizedExplainer;
 use cape_core::report::narrate_all;
@@ -227,19 +227,35 @@ fn load_store(args: &Args) -> Result<(Relation, cape_core::PatternStore), CliErr
 /// against the live relation, WAL-aware). A rejected snapshot becomes
 /// [`CliError::Store`] (exit 3) — except a plain read failure (absent
 /// file, permissions), which stays a runtime error like any other
-/// missing input.
+/// missing input. A store that cannot be maintained incrementally is
+/// read as it is when the WAL beside it replays no rows (earlier builds
+/// left a header-only WAL beside such stores); one that replays rows is
+/// refused.
 fn read_patterns(
     args: &Args,
     rel: Relation,
 ) -> Result<(Relation, cape_core::PatternStore), CliError> {
     let path = args.require("store").map_err(usage)?;
-    if wal_path_for(Path::new(path)).exists() {
-        let incr = IncrStore::open(path, &rel).map_err(|e| incr_err(path, e))?;
-        let replayed = incr.relation().clone();
-        let store = incr.store();
-        drop(incr);
-        let store = std::sync::Arc::try_unwrap(store).unwrap_or_else(|arc| (*arc).clone());
-        return Ok((replayed, store));
+    let wal_path = wal_path_for(Path::new(path));
+    if wal_path.exists() {
+        match IncrStore::open(path, &rel) {
+            Ok(incr) => {
+                let replayed = incr.relation().clone();
+                let store = incr.store();
+                drop(incr);
+                let store = std::sync::Arc::try_unwrap(store).unwrap_or_else(|arc| (*arc).clone());
+                return Ok((replayed, store));
+            }
+            Err(IncrError::Config(m)) => {
+                let schema_fp = snapshot::schema_fingerprint(rel.schema());
+                let replay = wal::load_wal(&wal_path, schema_fp, rel.schema().arity())
+                    .map_err(|e| incr_err(path, IncrError::Wal(e)))?;
+                if replay.is_some_and(|r| r.batches.iter().any(|(_, rows)| !rows.is_empty())) {
+                    return Err(incr_err(path, IncrError::Config(m)));
+                }
+            }
+            Err(e) => return Err(incr_err(path, e)),
+        }
     }
     let loaded = snapshot::load_snapshot_auto(path, &rel).map_err(|e| match e {
         SnapshotError::Io(m) => runtime(format!("cannot read store {path}: {m}")),

@@ -1341,3 +1341,63 @@ fn fd_store_serves_read_only_and_never_gains_a_wal() {
     assert!(out.status.success(), "explain after serve: {}", String::from_utf8_lossy(&out.stderr));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A WAL beside an `--fd` store that replays no rows (earlier builds
+/// left a header-only one there) does not block reads: `explain` and
+/// `patterns` read the snapshot as it is. A WAL that holds rows is still
+/// refused with exit 3, since the store cannot take them.
+#[test]
+fn fd_store_reads_past_a_wal_without_rows() {
+    let dir = temp_dir("fdwal");
+    let (base, delta) = write_split_csv(&dir, 10);
+    let empty = dir.join("empty.csv").to_string_lossy().into_owned();
+    std::fs::write(&empty, "author,year,venue\n").unwrap();
+    let plain = mine_snapshot(&dir, &base);
+    let fd = dir.join("fd.cape").to_string_lossy().into_owned();
+    let out = cape()
+        .args(["mine", "--csv", &base, "--schema", SCHEMA, "--theta", "0.1", "--delta", "3"])
+        .args(["--lambda", "0.3", "--support", "2", "--psi", "3", "--fd", "--save", &fd])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "mine --fd failed: {}", String::from_utf8_lossy(&out.stderr));
+    let explain = || {
+        cape()
+            .args(["explain", "--csv", &base, "--schema", SCHEMA, "--store", &fd])
+            .args(["--sql", BATCH_SQL, "--tuple", "a0,2005,KDD", "--dir", "low", "--k", "5"])
+            .output()
+            .expect("binary runs")
+    };
+
+    // An empty append leaves a header-only WAL beside the plain store.
+    let out =
+        run(&["append", "--csv", &base, "--schema", SCHEMA, "--store", &plain, "--rows", &empty]);
+    assert!(out.status.success(), "empty append: {}", String::from_utf8_lossy(&out.stderr));
+    std::fs::copy(format!("{plain}.wal"), format!("{fd}.wal")).unwrap();
+    let out = explain();
+    assert!(
+        out.status.success(),
+        "explain past an empty WAL: {:?} {}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = run(&["patterns", "--csv", &base, "--schema", SCHEMA, "--store", &fd]);
+    assert!(
+        out.status.success(),
+        "patterns past an empty WAL: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // A WAL that holds rows is refused.
+    let out =
+        run(&["append", "--csv", &base, "--schema", SCHEMA, "--store", &plain, "--rows", &delta]);
+    assert!(out.status.success(), "append: {}", String::from_utf8_lossy(&out.stderr));
+    std::fs::copy(format!("{plain}.wal"), format!("{fd}.wal")).unwrap();
+    let out = explain();
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("cannot be maintained incrementally"),
+        "untyped refusal: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -13,7 +13,10 @@
 //!   direction of counterbalance, exclusion of the question tuple itself,
 //!   distance, NORM, and the top-k offer.
 //!
-//! [`drill_down`] is simply the composition of the two.
+//! [`drill_down`], which EXPL-GEN-NAIVE runs, composes the same two
+//! halves but tests `t'[F] = t[F]` cell by cell, as Definition 7 states
+//! it, instead of through the key-match kernel: the oracle shares only
+//! the per-row candidate construction with the optimized path.
 
 use crate::explain::candidate::Explanation;
 use crate::explain::score::score_value;
@@ -21,6 +24,7 @@ use crate::explain::topk::TopK;
 use crate::explain::{ExplainConfig, ExplainStats};
 use crate::question::UserQuestion;
 use crate::store::PatternInstance;
+use cape_data::ops::rows_matching;
 use cape_data::{AttrId, Value};
 
 /// One tuple `t'` of a refinement's grouped data that matches the
@@ -57,42 +61,72 @@ pub struct DrillResult {
 /// (condition 3), recording each row's deviation. Depends only on
 /// `(f_attrs, f_vals, p2)` — never on the user question — so the result
 /// is cacheable and shareable across questions.
+///
+/// Condition 4a is tested on column codes by
+/// [`rows_matching`](cape_data::ops::rows_matching); per-row work is done
+/// only for the rows it returns. Every row is still tested, so
+/// `rows_scanned` is the grouped relation's row count.
 pub fn raw_candidates(f_attrs: &[AttrId], f_vals: &[Value], p2: &PatternInstance) -> DrillResult {
-    let rel = &p2.data.relation;
-    let Some(f_cols) = p2.data.cols_of_attrs(f_attrs) else {
+    let Some(cols) = DrillCols::of(f_attrs, p2) else {
         return DrillResult::default(); // refinement must contain P's partition attributes
     };
-    // Attributes of t' in output order: F' then V.
-    let mut t_attrs: Vec<AttrId> = p2.arp.f().to_vec();
-    t_attrs.extend_from_slice(p2.arp.v());
-    let Some(t_cols) = p2.data.cols_of_attrs(&t_attrs) else {
-        return DrillResult::default();
-    };
-    let fprime_cols = p2.data.cols_of_attrs(p2.arp.f()).expect("F' within its own data");
+    let rows = rows_matching(&p2.data.relation, &cols.f, f_vals);
+    candidates_at(p2, &cols, rows)
+}
 
-    let mut out =
-        DrillResult { attrs: t_attrs, candidates: Vec::new(), rows_scanned: rel.num_rows() };
-    for i in 0..rel.num_rows() {
-        // (4a) t'[F] = t[F].
-        if f_cols.iter().zip(f_vals).any(|(&c, w)| rel.value(i, c) != *w) {
-            continue;
-        }
-        // (3) t'[F'] must hold locally under P'.
-        let fprime_key = rel.row_project(i, &fprime_cols);
-        let Some(local) = p2.local(&fprime_key) else {
+/// Where one drill-down's attributes sit among the columns of the
+/// refinement's grouped relation.
+struct DrillCols {
+    /// `F`, tested by condition 4a.
+    f: Vec<usize>,
+    /// `F'`, the key of the local model.
+    fprime: Vec<usize>,
+    /// `V`, the predictors.
+    v: Vec<usize>,
+    /// The candidate tuple's attributes: `F'` then `V`.
+    attrs: Vec<AttrId>,
+    /// Their columns.
+    t: Vec<usize>,
+}
+
+impl DrillCols {
+    /// `None` when `p2`'s data lacks one of `f_attrs`.
+    fn of(f_attrs: &[AttrId], p2: &PatternInstance) -> Option<Self> {
+        let f = p2.data.cols_of_attrs(f_attrs)?;
+        let mut attrs: Vec<AttrId> = p2.arp.f().to_vec();
+        attrs.extend_from_slice(p2.arp.v());
+        let t = p2.data.cols_of_attrs(&attrs)?;
+        let fprime = p2.data.cols_of_attrs(p2.arp.f()).expect("F' within its own data");
+        let v = p2.data.cols_of_attrs(p2.arp.v()).expect("V within its own data");
+        Some(DrillCols { f, fprime, v, attrs, t })
+    }
+}
+
+/// The candidates among `rows`, rows of `p2`'s grouped relation that
+/// already satisfy condition 4a: those that hold locally under `P'`
+/// (condition 3), with their deviations.
+fn candidates_at(
+    p2: &PatternInstance,
+    cols: &DrillCols,
+    rows: impl IntoIterator<Item = usize>,
+) -> DrillResult {
+    let rel = &p2.data.relation;
+    let mut candidates = Vec::new();
+    for i in rows {
+        let Some(local) = p2.local(&rel.row_project(i, &cols.fprime)) else {
             continue;
         };
-        let Some(x) = p2.predictor_vec(i) else { continue };
+        let Some(x) = p2.predictors(i, &cols.v) else { continue };
         let Some(actual) = p2.data.agg_value(i, p2.agg_col) else { continue };
         let predicted = local.fitted.model.predict(&x);
-        out.candidates.push(RawCandidate {
-            tuple: rel.row_project(i, &t_cols),
+        candidates.push(RawCandidate {
+            tuple: rel.row_project(i, &cols.t),
             agg_value: actual,
             predicted,
             deviation: actual - predicted,
         });
     }
-    out
+    DrillResult { attrs: cols.attrs.clone(), candidates, rows_scanned: rel.num_rows() }
 }
 
 /// Apply the question-dependent conditions of Definition 7 to a raw
@@ -139,6 +173,12 @@ pub fn offer_candidates(
         let distance =
             cfg.distance.tuple_distance(&uq.group_attrs, &uq.tuple, &drill.attrs, &cand.tuple);
         let score = score_value(cand.deviation, uq.dir.is_low_sign(), distance, norm);
+        // A full top-k refuses a score strictly below its k-th best: a
+        // duplicate's live copy scores at least that much, and a new key
+        // must beat it. Skip such a candidate before building it.
+        if topk.threshold().is_some_and(|kth| score < kth) {
+            continue;
+        }
         topk.offer(Explanation {
             pattern_idx: p_idx,
             refinement_idx: p2_idx,
@@ -156,7 +196,9 @@ pub fn offer_candidates(
 
 /// Iterate all tuples `t' ∈ γ_{F'∪V, agg(A)}(R)` for refinement `p2`,
 /// apply the conditions of Definition 7, score survivors against the
-/// relevant pattern's NORM, and push them into `topk`.
+/// relevant pattern's NORM, and push them into `topk`. Condition 4a is
+/// the literal `t'[F] = t[F]` over materialized values, so EXPL-GEN-NAIVE
+/// checks [`raw_candidates`]' key-match kernel rather than sharing it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drill_down(
     p_idx: usize,
@@ -170,7 +212,15 @@ pub(crate) fn drill_down(
     topk: &mut TopK,
     stats: &mut ExplainStats,
 ) {
-    let drill = raw_candidates(p.arp.f(), f_vals, p2);
+    let drill = match DrillCols::of(p.arp.f(), p2) {
+        Some(cols) => {
+            let rel = &p2.data.relation;
+            let rows = (0..rel.num_rows())
+                .filter(|&i| cols.f.iter().zip(f_vals).all(|(&c, w)| rel.value(i, c) == *w));
+            candidates_at(p2, &cols, rows)
+        }
+        None => DrillResult::default(),
+    };
     stats.tuples_checked += drill.rows_scanned;
     offer_candidates(&drill, p_idx, p2_idx, p2, norm, uq, cfg, topk, stats);
 }

@@ -1,5 +1,6 @@
 //! User questions (Definition 1): "why is this aggregate value high/low?".
 
+use cape_data::ops::rows_matching;
 use cape_data::{AggFunc, AttrId, Schema, Value};
 
 /// Whether the user considers the value higher or lower than expected.
@@ -77,11 +78,19 @@ impl UserQuestion {
         UserQuestion { group_attrs, agg, agg_attr, tuple, agg_value, dir }
     }
 
-    /// Build a question by evaluating the aggregate query on `rel` and
-    /// looking up the tuple with the given group-by values — so the
-    /// question's `agg_value` always matches the data.
+    /// Build a question by evaluating the aggregate of `t`'s group on
+    /// `rel` — so the question's `agg_value` always matches the data.
     ///
-    /// Returns an error when the tuple does not appear in the result.
+    /// Only the rows of `t`'s group are read: they are found with
+    /// [`rows_matching`] and one accumulator is folded over
+    /// them in ascending row order, which is the order `aggregate` folds
+    /// the same group in, so `agg_value` is bit-identical to the value in
+    /// `γ_{G, agg(A)}(rel)`. A non-numeric cell of a `Mixed` aggregate
+    /// column therefore fails only questions about its own group.
+    ///
+    /// Returns an error when an attribute id is unknown, the aggregate
+    /// needs a numeric attribute, or the tuple does not align with `G` or
+    /// does not appear in the result.
     pub fn from_query(
         rel: &cape_data::Relation,
         group_attrs: Vec<AttrId>,
@@ -90,23 +99,39 @@ impl UserQuestion {
         tuple: Vec<Value>,
         dir: Direction,
     ) -> crate::error::Result<Self> {
-        use cape_data::ops::aggregate;
-        use cape_data::AggSpec;
-        let result = aggregate(rel, &group_attrs, &[AggSpec { func: agg, attr: agg_attr }])
-            .map_err(crate::error::CapeError::from)?
-            .relation;
-        let agg_col = group_attrs.len();
-        for i in 0..result.num_rows() {
-            if (0..group_attrs.len()).all(|c| result.value(i, c) == tuple[c]) {
-                let agg_value = result.value(i, agg_col).as_f64().ok_or_else(|| {
-                    crate::error::CapeError::InvalidQuestion("non-numeric aggregate".into())
-                })?;
-                return Ok(UserQuestion::new(group_attrs, agg, agg_attr, tuple, agg_value, dir));
+        use crate::error::CapeError;
+        use cape_data::agg::Accumulator;
+        use cape_data::column::canon_f64;
+        use cape_data::DataError;
+        // The checks `aggregate` makes before it groups, in its order.
+        if let Some(a) = agg_attr {
+            let attr = rel.schema().attr(a)?;
+            if agg.requires_numeric() && !attr.value_type().is_numeric() {
+                return Err(DataError::NonNumericAggregate(attr.name().to_string()).into());
             }
         }
-        Err(crate::error::CapeError::InvalidQuestion(format!(
-            "tuple {tuple:?} not in the query result"
-        )))
+        rel.schema().project(&group_attrs)?;
+        if group_attrs.len() != tuple.len() {
+            return Err(CapeError::InvalidQuestion("tuple must align with group attrs".into()));
+        }
+        let rows = rows_matching(rel, &group_attrs, &tuple);
+        if rows.is_empty() {
+            return Err(CapeError::InvalidQuestion(format!(
+                "tuple {tuple:?} not in the query result"
+            )));
+        }
+        let mut acc = Accumulator::new(agg);
+        for i in rows {
+            acc.update(agg_attr.map(|a| rel.value(i, a)).as_ref())?;
+        }
+        // The grouped relation stores a float aggregate in a float slab,
+        // which canonicalizes it; do the same.
+        let agg_value = match acc.finish() {
+            Value::Float(f) => Some(canon_f64(f)),
+            other => other.as_f64(),
+        }
+        .ok_or_else(|| CapeError::InvalidQuestion("non-numeric aggregate".into()))?;
+        Ok(UserQuestion::new(group_attrs, agg, agg_attr, tuple, agg_value, dir))
     }
 
     /// Build a question from a SQL aggregate query of the paper's shape
@@ -180,16 +205,14 @@ impl UserQuestion {
         // Each value must occur in its column…
         for (&a, v) in group_attrs.iter().zip(&tuple) {
             rel.schema().attr(a).map_err(CapeError::Data)?;
-            if !rel.column_iter(a).any(|x| x == *v) {
+            if rows_matching(rel, &[a], std::slice::from_ref(v)).is_empty() {
                 return Err(CapeError::InvalidQuestion(format!(
                     "value {v} never occurs in attribute #{a}; cannot pose a question about it"
                 )));
             }
         }
         // …but the combination must not.
-        let combination_exists = (0..rel.num_rows())
-            .any(|i| group_attrs.iter().zip(&tuple).all(|(&a, v)| rel.value(i, a) == *v));
-        if combination_exists {
+        if !rows_matching(rel, &group_attrs, &tuple).is_empty() {
             return Err(CapeError::InvalidQuestion(
                 "the group exists — use from_query for questions about existing answers".into(),
             ));
@@ -299,14 +322,26 @@ mod tests {
 
     #[test]
     fn from_query_reads_the_actual_value() {
-        use cape_data::{Relation, Schema, ValueType};
-        let schema = Schema::new([("author", ValueType::Str), ("year", ValueType::Int)]).unwrap();
+        use cape_data::ops::aggregate;
+        use cape_data::{AggSpec, Relation, Schema, ValueType};
+        let schema = Schema::new([
+            ("author", ValueType::Str),
+            ("year", ValueType::Int),
+            ("score", ValueType::Float),
+        ])
+        .unwrap();
+        let row = |author: Option<&str>, year, score| {
+            vec![author.map_or(Value::Null, Value::str), Value::Int(year), Value::Float(score)]
+        };
         let rel = Relation::from_rows(
             schema,
             vec![
-                vec![Value::str("AX"), Value::Int(2007)],
-                vec![Value::str("AX"), Value::Int(2007)],
-                vec![Value::str("AX"), Value::Int(2008)],
+                row(Some("AX"), 2007, 0.1),
+                row(Some("AX"), 2007, 0.2),
+                row(Some("AX"), 2008, 0.3),
+                row(None, 2008, 1e16),
+                row(None, 2008, 1.0),
+                row(None, 2008, -1e16),
             ],
         )
         .unwrap();
@@ -320,6 +355,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(uq.agg_value, 2.0);
+        // Every group, the NULL author's included, reads the aggregate's
+        // value bit for bit, float sums and means too (their fold order
+        // shows in the low bits).
+        for (agg, attr) in
+            [(AggFunc::Count, None), (AggFunc::Sum, Some(2)), (AggFunc::Avg, Some(2))]
+        {
+            let result = aggregate(&rel, &[0, 1], &[AggSpec { func: agg, attr }]).unwrap().relation;
+            for i in 0..result.num_rows() {
+                let tuple = result.row_project(i, &[0, 1]);
+                let uq =
+                    UserQuestion::from_query(&rel, vec![0, 1], agg, attr, tuple, Direction::Low)
+                        .unwrap();
+                let want = result.value(i, 2).as_f64().unwrap();
+                assert_eq!(uq.agg_value.to_bits(), want.to_bits(), "{agg} of group {i}");
+            }
+        }
         // Missing tuple is rejected.
         let missing = UserQuestion::from_query(
             &rel,

@@ -80,11 +80,16 @@ impl PatternInstance {
     /// still build the vector for uniformity; categorical predictors under
     /// a `Const` model are encoded as 0.0 placeholders.
     pub fn predictor_vec(&self, i: usize) -> Option<Vec<f64>> {
-        let cols = self.data.cols_of_attrs(self.arp.v())?;
+        self.predictors(i, &self.data.cols_of_attrs(self.arp.v())?)
+    }
+
+    /// [`predictor_vec`](Self::predictor_vec) with `V`'s columns in
+    /// `data.relation` already looked up, for callers that visit many rows.
+    pub(crate) fn predictors(&self, i: usize, v_cols: &[usize]) -> Option<Vec<f64>> {
         let needs_numeric = self.arp.model.requires_numeric_predictors();
-        let mut out = Vec::with_capacity(cols.len());
-        for c in cols {
-            match self.data.relation.value(i, c).as_f64() {
+        let mut out = Vec::with_capacity(v_cols.len());
+        for &c in v_cols {
+            match self.data.relation.value_f64(i, c) {
                 Some(x) => out.push(x),
                 None if !needs_numeric => out.push(0.0),
                 None => return None,

@@ -260,6 +260,11 @@ impl Dict {
         Some(code)
     }
 
+    /// The code of `s`, or `None` when the dictionary has never interned it.
+    pub fn code_of(&self, s: &str) -> Option<u32> {
+        self.index.get(s).copied()
+    }
+
     /// The string of a code.
     #[inline]
     pub fn value(&self, code: u32) -> &Arc<str> {

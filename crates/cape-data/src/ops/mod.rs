@@ -18,5 +18,5 @@ pub use group_index::group_key_index_unpacked;
 pub use group_index::{group_key_index, GroupKeyIndex};
 pub use project::{distinct, distinct_project, project};
 pub use rollup::{rollup_aggregate, rollup_supported};
-pub use select::{filter, select};
+pub use select::{filter, rows_matching, select};
 pub use sort::{column_ranks, perm_block_starts, sort_by, sort_perm, sorted_block_starts};

@@ -1,8 +1,8 @@
 //! Property-based tests of the relational operators.
 
 use cape_data::ops::{
-    aggregate, aggregate_with_row_count, cube, distinct, distinct_project, project, select,
-    sort_by, sort_perm, sorted_block_starts,
+    aggregate, aggregate_with_row_count, cube, distinct, distinct_project, project, rows_matching,
+    select, sort_by, sort_perm, sorted_block_starts,
 };
 use cape_data::{AggFunc, AggSpec, Predicate, Relation, Schema, Value, ValueType};
 use proptest::prelude::*;
@@ -357,4 +357,76 @@ fn arb_relation_pub(max_rows: usize) -> impl Strategy<Value = Relation> {
         )
         .unwrap()
     })
+}
+
+/// Cell `i` of a pool with NULL, small ints, floats with NaN, −0.0 and
+/// integral values, and strings, one of which no generated column holds.
+fn cell(i: usize) -> Value {
+    match i {
+        0 => Value::Null,
+        1..=4 => Value::Int(i as i64 - 1),
+        5 => Value::Float(0.0),
+        6 => Value::Float(-0.0),
+        7 => Value::Float(f64::NAN),
+        8 => Value::Float(1.5),
+        9 => Value::Float(2.0),
+        10 => Value::str("a"),
+        11 => Value::str("b"),
+        _ => Value::str("absent"),
+    }
+}
+
+/// Relations over (s: Str, n: Int, f: Float, m: Int) with NULLs in every
+/// column; `m` takes any cell of the pool, so it is usually `Mixed`.
+fn arb_keyed_relation() -> impl Strategy<Value = Relation> {
+    let row = (0usize..4, 0usize..5, 0usize..6, 0usize..13);
+    proptest::collection::vec(row, 0..40).prop_map(|rows| {
+        let schema = Schema::new([
+            ("s", ValueType::Str),
+            ("n", ValueType::Int),
+            ("f", ValueType::Float),
+            ("m", ValueType::Int),
+        ])
+        .unwrap();
+        let s = |i: usize| ["", "a", "b", "c"][i];
+        Relation::from_rows(
+            schema,
+            rows.into_iter().map(|(si, ni, fi, mi)| {
+                let s = if si == 0 { Value::Null } else { Value::str(s(si)) };
+                let f = if fi == 0 { Value::Null } else { cell(fi + 4) };
+                vec![s, cell(ni), f, cell(mi)]
+            }),
+        )
+        .unwrap()
+    })
+}
+
+proptest! {
+    /// The key-match kernel is the filter `rel.value(i, c) == v` for every
+    /// column subset: typed probes, NULL probes, Int/Float cross-type
+    /// probes, `Mixed` columns and strings absent from the dictionary.
+    #[test]
+    fn rows_matching_equals_value_filter(
+        rel in arb_keyed_relation(),
+        pool in proptest::collection::vec(0usize..13, 4..5),
+        from_row in proptest::collection::vec(0u8..2, 4..5),
+        row in 0usize..64,
+    ) {
+        // Key values come from the pool or, so that keys often match, from
+        // one row of the relation.
+        let key: Vec<Value> = (0..4)
+            .map(|c| match rel.num_rows() {
+                n if n > 0 && from_row[c] == 1 => rel.value(row % n, c),
+                _ => cell(pool[c]),
+            })
+            .collect();
+        for mask in 0u32..16 {
+            let cols: Vec<usize> = (0..4).filter(|c| (mask >> c) & 1 == 1).collect();
+            let vals: Vec<Value> = cols.iter().map(|&c| key[c].clone()).collect();
+            let want: Vec<usize> = (0..rel.num_rows())
+                .filter(|&i| cols.iter().zip(&vals).all(|(&c, v)| rel.value(i, c) == *v))
+                .collect();
+            prop_assert_eq!(rows_matching(&rel, &cols, &vals), want, "cols {:?} key {:?}", cols, vals);
+        }
+    }
 }

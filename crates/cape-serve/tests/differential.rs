@@ -61,7 +61,28 @@ fn question_grid(rel: &Relation, group_attrs: &[AttrId], n: usize) -> Vec<UserQu
             let tuple = result.row_project(row, &key_cols);
             let agg_value = result.value(row, agg_col).as_f64().unwrap_or(0.0);
             let dir = if i % 2 == 0 { Direction::Low } else { Direction::High };
-            UserQuestion::new(group_attrs.to_vec(), AggFunc::Count, None, tuple, agg_value, dir)
+            let uq = UserQuestion::new(
+                group_attrs.to_vec(),
+                AggFunc::Count,
+                None,
+                tuple,
+                agg_value,
+                dir,
+            );
+            // Resolving the question from the relation must give exactly
+            // the question read off the full aggregate.
+            let resolved = UserQuestion::from_query(
+                rel,
+                uq.group_attrs.clone(),
+                uq.agg,
+                uq.agg_attr,
+                uq.tuple.clone(),
+                uq.dir,
+            )
+            .expect("tuple is in the aggregate");
+            assert_eq!(resolved, uq);
+            assert_eq!(resolved.agg_value.to_bits(), uq.agg_value.to_bits());
+            uq
         })
         .collect()
 }
