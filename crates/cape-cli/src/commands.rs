@@ -27,7 +27,9 @@ USAGE:
             --save FILE [--v2]
       Mine aggregate regression patterns and save them as a versioned,
       checksummed binary snapshot (written atomically; load it back with
-      --store). --v2 also embeds the relation's column slabs.
+      --store). --v2 writes format version 2, which also embeds the
+      relation's column slabs; every command that takes --store (append,
+      --compact and serve included) reads either version.
 
   cape append --csv FILE --schema SPEC --store FILE --rows FILE [--compact]
       Append rows (a CSV with the same schema) to a mined --store snapshot
@@ -223,8 +225,8 @@ fn load_store(args: &Args) -> Result<(Relation, cape_core::PatternStore), CliErr
     read_patterns(args, rel)
 }
 
-/// Load the pattern store from `--store` (binary snapshot, validated
-/// against the live relation, WAL-aware). A rejected snapshot becomes
+/// Load the pattern store from `--store` (binary snapshot of either
+/// version, validated against the live relation, WAL-aware). A rejected snapshot becomes
 /// [`CliError::Store`] (exit 3) — except a plain read failure (absent
 /// file, permissions), which stays a runtime error like any other
 /// missing input. A store that cannot be maintained incrementally is
@@ -257,7 +259,7 @@ fn read_patterns(
             Err(e) => return Err(incr_err(path, e)),
         }
     }
-    let loaded = snapshot::load_snapshot_auto(path, &rel).map_err(|e| match e {
+    let loaded = snapshot::load_snapshot(path, &rel).map_err(|e| match e {
         SnapshotError::Io(m) => runtime(format!("cannot read store {path}: {m}")),
         other => CliError::Store(format!("store file {path} rejected: {other}")),
     })?;

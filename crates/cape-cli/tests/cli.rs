@@ -1401,3 +1401,111 @@ fn fd_store_reads_past_a_wal_without_rows() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// One v2 file from `mine` to `append`, `explain`, `--compact` and
+/// `serve`. The append lands in a WAL beside the file; explain over the
+/// base CSV and that WAL prints what explain prints over a store mined
+/// from base + delta; compaction keeps the file at version 2; and the
+/// server answers an explain, an append and a swap to the same file.
+#[test]
+fn v2_store_appends_compacts_and_serves() {
+    use cape_net::testclient::Client;
+    use cape_obs::Json;
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let dir = temp_dir("v2store");
+    let (base, delta) = write_split_csv(&dir, 50);
+    let full = dir.join("pub.csv").to_string_lossy().into_owned();
+    let empty = dir.join("empty.csv").to_string_lossy().into_owned();
+    std::fs::write(&empty, "author,year,venue\n").unwrap();
+    let store = dir.join("v2.cape").to_string_lossy().into_owned();
+    let reference = dir.join("full.cape").to_string_lossy().into_owned();
+    let mine = |csv: &str, save: &str, extra: &[&str]| {
+        let out = cape()
+            .args(["mine", "--csv", csv, "--schema", SCHEMA, "--theta", "0.1", "--delta", "3"])
+            .args(["--lambda", "0.3", "--support", "2", "--psi", "3", "--save", save])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "mine failed: {}", String::from_utf8_lossy(&out.stderr));
+    };
+    mine(&base, &store, &["--v2"]);
+    mine(&full, &reference, &[]);
+    let version = || {
+        let bytes = std::fs::read(&store).unwrap();
+        u32::from_le_bytes(bytes[8..12].try_into().unwrap())
+    };
+    assert_eq!(version(), 2);
+    // The explain header embeds a wall-clock duration; cut it off.
+    let explain = |csv: &str, store: &str| -> String {
+        let out = cape()
+            .args(["explain", "--csv", csv, "--schema", SCHEMA, "--store", store])
+            .args(["--sql", BATCH_SQL, "--tuple", "a0,2005,KDD", "--dir", "low", "--k", "5"])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "explain failed: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .map(|l| l.find(" checked, ").map_or(l, |i| &l[..i]))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let expected = explain(&full, &reference);
+
+    let out =
+        run(&["append", "--csv", &base, "--schema", SCHEMA, "--store", &store, "--rows", &delta]);
+    assert!(out.status.success(), "append failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("appended 50 rows"));
+    assert_eq!(explain(&base, &store), expected, "replayed v2 store differs from a full mine");
+
+    let out = run(&[
+        "append",
+        "--csv",
+        &base,
+        "--schema",
+        SCHEMA,
+        "--store",
+        &store,
+        "--rows",
+        &empty,
+        "--compact",
+    ]);
+    assert!(out.status.success(), "compact failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("compacted"));
+    assert_eq!(version(), 2, "compaction changed the file's version");
+    assert_eq!(explain(&base, &store), expected, "compacted v2 store differs from a full mine");
+
+    let child = cape()
+        .args(["serve", "--listen", "127.0.0.1:0", "--csv", &base, "--schema", SCHEMA])
+        .args(["--store", &store, "--name", "pub", "-q"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve starts");
+    let mut server = KillOnDrop(child);
+    let mut line = String::new();
+    BufReader::new(server.0.stdout.take().expect("stdout")).read_line(&mut line).unwrap();
+    let Some(addr) = line.trim().strip_prefix("listening on ") else {
+        let mut stderr = String::new();
+        server.0.stderr.take().expect("stderr").read_to_string(&mut stderr).unwrap();
+        panic!("serve did not start: {stderr}");
+    };
+    let mut client = Client::connect(addr).expect("connect");
+    let body = Json::parse(&format!(
+        r#"{{"sql": "{BATCH_SQL}", "tuple": ["a0", 2005, "KDD"], "dir": "low", "k": 5}}"#
+    ))
+    .unwrap();
+    let resp = client.post_json("/v1/pub/explain", &body).expect("explain");
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let rows = Json::parse(r#"{"rows": [["a0", 2005, "KDD"]]}"#).unwrap();
+    let resp = client.post_json("/admin/stores/pub/append", &rows).expect("append");
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let swap = Json::Obj(vec![("path".into(), Json::Str(store.clone()))]);
+    let resp = client.post_json("/admin/stores/pub/swap", &swap).expect("swap");
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let resp = client.post_json("/v1/pub/explain", &body).expect("explain after swap");
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -11,12 +11,13 @@
 //! so an incremental store is interchangeable with a re-mined one.
 //!
 //! Durability is a hot/durable tier split: the base relation's snapshot
-//! (PR-4 format, untouched) plus a write-ahead log of append deltas beside
-//! it ([`wal`]). Every append is committed to the WAL — fsync'd — *before*
+//! (either version) plus a write-ahead log of append deltas beside it
+//! ([`wal`]). Every append is committed to the WAL — fsync'd — *before*
 //! the in-memory state changes; [`IncrStore::open`] replays the WAL over
 //! the base relation and rebuilds the statistics, and
 //! [`IncrStore::compact`] folds the accumulated delta into a fresh
-//! snapshot and rewrites the WAL to a single consolidated record.
+//! snapshot of the version it opened and rewrites the WAL to a single
+//! consolidated record.
 //!
 //! What stays out of scope (and falls back to the batch path): candidates
 //! whose fit has no compact sufficient statistics — multi-predictor
@@ -35,7 +36,10 @@ use crate::mining::candidates::{group_sets, splits_of, Split};
 use crate::mining::fit::{FitOutcome, SplitCandidate};
 use crate::mining::{make_instance, share_grp::build_candidates, validate_config};
 use crate::pattern::Arp;
-use crate::snapshot::{load_snapshot_config, save_snapshot, schema_fingerprint, SnapshotError};
+use crate::snapshot::{
+    load_snapshot_config, save_snapshot, save_snapshot_v2, schema_fingerprint, SnapshotError,
+    FORMAT_VERSION, FORMAT_VERSION_V2,
+};
 use crate::store::{LocalPattern, PatternStore};
 use cape_data::agg::Accumulator;
 use cape_data::ops::grouped_output_schema;
@@ -140,6 +144,8 @@ pub const DEFAULT_WAL_COMPACT_BYTES: u64 = 64 * 1024 * 1024;
 /// Durable-tier state: where the snapshot and WAL live.
 struct Durability {
     store_path: PathBuf,
+    /// The snapshot's format version; compaction rewrites the same one.
+    version: u32,
     wal_path: PathBuf,
     schema_fp: u64,
     last_seq: u64,
@@ -563,9 +569,10 @@ impl IncrStore {
         Ok(incr)
     }
 
-    /// Open a durable store: validate the snapshot at `store_path` and
-    /// read its mining configuration (its patterns are rebuilt, not
-    /// decoded), replay the sidecar WAL over `base`, and rebuild the
+    /// Open a durable store: validate the snapshot at `store_path` (either
+    /// version) and read its mining configuration (its patterns are
+    /// rebuilt, not decoded; a version 2 file's relation is checked, not
+    /// read), replay the sidecar WAL over `base`, and rebuild the
     /// incremental state over the combined relation. Creates an empty
     /// WAL beside the snapshot if none exists — but only once the
     /// snapshot's configuration has passed the checks of
@@ -575,7 +582,7 @@ impl IncrStore {
     /// reordered delta is never installed.
     pub fn open(store_path: impl Into<PathBuf>, base: &Relation) -> Result<Self, IncrError> {
         let store_path = store_path.into();
-        let config = load_snapshot_config(&store_path, base.schema())?;
+        let (version, config) = load_snapshot_config(&store_path, base.schema())?;
         // Before the WAL is touched: a store that cannot be maintained
         // must not gain a `.wal` that sends every later read down this path.
         check_maintainable(&config)?;
@@ -606,7 +613,8 @@ impl IncrStore {
         let mut incr = Self::build(relation, config)?;
         incr.delta_rows = delta_rows;
         let wal_size = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-        incr.durability = Some(Durability { store_path, wal_path, schema_fp, last_seq, wal_size });
+        incr.durability =
+            Some(Durability { store_path, version, wal_path, schema_fp, last_seq, wal_size });
         Ok(incr)
     }
 
@@ -629,8 +637,14 @@ impl IncrStore {
             wal::init_wal(&wal_path, schema_fp, 0)?;
         }
         let wal_size = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-        self.durability =
-            Some(Durability { store_path, wal_path, schema_fp, last_seq: 0, wal_size });
+        self.durability = Some(Durability {
+            store_path,
+            version: FORMAT_VERSION,
+            wal_path,
+            schema_fp,
+            last_seq: 0,
+            wal_size,
+        });
         Ok(())
     }
 
@@ -710,15 +724,26 @@ impl IncrStore {
     }
 
     /// Fold the WAL into a fresh snapshot: write the current patterns to
-    /// the snapshot path (atomic), then rewrite the WAL as one
-    /// consolidated record with the compaction watermark advanced to the
-    /// last committed sequence number. A crash between the two writes
+    /// the snapshot path (atomic) in the version the store was opened
+    /// from, then rewrite the WAL as one consolidated record with the
+    /// compaction watermark advanced to the last committed sequence
+    /// number. A version 2 file keeps embedding the *base* relation (the
+    /// live one minus [`delta_rows`](Self::delta_rows)), since the WAL
+    /// still replays the delta over it. A crash between the two writes
     /// leaves a newer snapshot with an older watermark — recovery simply
     /// replays the full WAL over the base relation, which is correct
     /// (rows never double-apply) just not yet compacted.
     pub fn compact(&mut self) -> Result<(), IncrError> {
         let Some(d) = &mut self.durability else { return Err(IncrError::NotDurable) };
-        save_snapshot(&d.store_path, self.relation.schema(), &self.cfg, &self.store)?;
+        let schema = self.relation.schema();
+        if d.version == FORMAT_VERSION_V2 {
+            let base_rows: Vec<usize> =
+                (0..self.relation.num_rows() - self.delta_rows.len()).collect();
+            let base = self.relation.take(&base_rows);
+            save_snapshot_v2(&d.store_path, schema, &self.cfg, &self.store, &base)?;
+        } else {
+            save_snapshot(&d.store_path, schema, &self.cfg, &self.store)?;
+        }
         let size = wal::write_compacted(&d.wal_path, d.schema_fp, d.last_seq, &self.delta_rows)?;
         d.wal_size = size;
         cape_obs::counter_add("incr.compactions", 1);
@@ -978,7 +1003,15 @@ mod tests {
 
     #[test]
     fn durable_roundtrip_open_replays_wal() {
-        let dir = std::env::temp_dir().join(format!("cape_incr_test_{}", std::process::id()));
+        for version in [FORMAT_VERSION, FORMAT_VERSION_V2] {
+            durable_roundtrip(version);
+        }
+    }
+
+    /// Save, open, append, replay and compact a store saved as `version`.
+    fn durable_roundtrip(version: u32) {
+        let dir =
+            std::env::temp_dir().join(format!("cape_incr_test_{}_v{version}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let store_path = dir.join("pubs.cape");
         let full = pubs(6, 8, 2);
@@ -986,10 +1019,18 @@ mod tests {
         let n = full.num_rows();
         let cut = 3 * n / 4;
         let base = full.take(&(0..cut).collect::<Vec<_>>());
+        let version_on_disk = || {
+            let bytes = std::fs::read(&store_path).unwrap();
+            u32::from_le_bytes(bytes[8..12].try_into().unwrap())
+        };
 
         // Mine the base, save its snapshot, then append durably.
         let mined = mine_store(&base, &cfg);
-        save_snapshot(&store_path, base.schema(), &cfg, &mined).unwrap();
+        if version == FORMAT_VERSION_V2 {
+            save_snapshot_v2(&store_path, base.schema(), &cfg, &mined, &base).unwrap();
+        } else {
+            save_snapshot(&store_path, base.schema(), &cfg, &mined).unwrap();
+        }
         let mut incr = IncrStore::open(&store_path, &base).unwrap();
         assert_eq!(incr.wal_seq(), Some(0));
         let rows: Vec<Vec<Value>> = (cut..n).map(|i| full.row(i)).collect();
@@ -1005,9 +1046,15 @@ mod tests {
         assert_stores_match(&reopened.store(), &mine_store(&full, &cfg));
 
         // Compaction folds the delta into the snapshot and keeps replay
-        // working (consolidated record, advanced watermark).
+        // working (consolidated record, advanced watermark). The file
+        // keeps its version, and a version 2 file its base relation.
         let mut reopened = reopened;
         reopened.compact().unwrap();
+        assert_eq!(version_on_disk(), version);
+        if version == FORMAT_VERSION_V2 {
+            let (_, embedded) = crate::snapshot::load_relation_v2(&store_path).unwrap();
+            assert_eq!(embedded, base);
+        }
         let after_compact = IncrStore::open(&store_path, &base).unwrap();
         assert_eq!(after_compact.wal_seq(), Some(1));
         assert_stores_match(&after_compact.store(), &mine_store(&full, &cfg));

@@ -9,28 +9,34 @@
 //! snapshot instead of re-mining, so start-up cost scales with pattern
 //! count rather than relation size.
 //!
-//! ## File format (version 1)
+//! ## File format (versions 1 and 2)
 //!
 //! ```text
-//! ┌─ header ──────────────────────────────────────────────┐
-//! │ magic    8B  b"CAPESNAP"                              │
-//! │ version  u32 LE (1)                                   │
-//! │ sections u32 LE (3)                                   │
-//! ├─ section × 3, fixed order: schema, config, patterns ─┤
-//! │ tag      u32 LE (b"SCHM" / b"CONF" / b"PATS")         │
-//! │ len      u64 LE  payload length in bytes              │
-//! │ payload  len bytes                                    │
-//! │ crc32    u32 LE  CRC-32 (IEEE) of the payload         │
+//! ┌─ header ─────────────────────────────────────────────┐
+//! │ magic    8B  b"CAPESNAP"                             │
+//! │ version  u32 LE (1 or 2)                             │
+//! │ sections u32 LE (3 in version 1, 4 in version 2)     │
+//! ├─ section × N, in tag order ──────────────────────────┤
+//! │ tag      u32 LE (b"SCHM" / b"CONF" / b"PATS" /       │
+//! │                  version 2 only: b"RELC")            │
+//! │ len      u64 LE  payload length in bytes             │
+//! │ payload  len bytes                                   │
+//! │ crc32    u32 LE  CRC-32 (IEEE) of the payload        │
 //! ├─ footer (commit marker) ─────────────────────────────┤
-//! │ magic    8B  b"CAPECMIT"                              │
-//! │ crc32    u32 LE  CRC-32 of every preceding byte       │
-//! └───────────────────────────────────────────────────────┘
+//! │ magic    8B  b"CAPECMIT"                             │
+//! │ crc32    u32 LE  CRC-32 of every preceding byte      │
+//! └──────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Only the pattern metadata and fitted models are stored; the
-//! aggregated group data is recomputed from the live relation at load
-//! time (one group-by per `F ∪ V` — far cheaper than mining, which also
-//! had to enumerate, sort, and fit).
+//! The version names the sections that follow. Both versions store the
+//! pattern metadata and fitted models; version 2 also embeds the
+//! relation's column slabs ([`v2`]). One parser walks the framing of
+//! either version and checks every CRC before any payload is decoded.
+//! [`read_snapshot`] reads either version against the live relation and
+//! recomputes the aggregated group data from it (one group-by per
+//! `F ∪ V` — far cheaper than mining, which also had to enumerate, sort,
+//! and fit); a version 2 file's relation section is checked, not
+//! decoded.
 //!
 //! ## Durability protocol
 //!
@@ -53,8 +59,8 @@ pub mod inject;
 pub mod v2;
 
 pub use v2::{
-    load_relation_v2, load_snapshot_auto, load_snapshot_v2, read_snapshot_v2, save_snapshot_v2,
-    snapshot_version, SnapshotV2Contents, FORMAT_VERSION_V2,
+    load_relation_v2, load_snapshot_v2, read_snapshot_v2, save_snapshot_v2, SnapshotV2Contents,
+    FORMAT_VERSION_V2,
 };
 
 use crate::config::{AggSelection, MiningConfig, Thresholds};
@@ -77,13 +83,32 @@ pub const FOOTER_MAGIC: &[u8; 8] = b"CAPECMIT";
 /// The v1 format version (patterns only; relation recomputed from CSV).
 pub const FORMAT_VERSION: u32 = 1;
 
-pub(crate) const TAG_SCHEMA: u32 = u32::from_le_bytes(*b"SCHM");
-pub(crate) const TAG_CONFIG: u32 = u32::from_le_bytes(*b"CONF");
-pub(crate) const TAG_PATTERNS: u32 = u32::from_le_bytes(*b"PATS");
+/// `(tag, display name)` of every section, in file order. A version 1
+/// file holds the first three, a version 2 file all four.
+const SECTIONS: [(u32, &str); 4] = [
+    (u32::from_le_bytes(*b"SCHM"), "schema"),
+    (u32::from_le_bytes(*b"CONF"), "config"),
+    (u32::from_le_bytes(*b"PATS"), "patterns"),
+    (u32::from_le_bytes(*b"RELC"), "relation"),
+];
 
-/// `(tag, display name)` for the three v1 sections, in file order.
-const SECTIONS: [(u32, &str); 3] =
-    [(TAG_SCHEMA, "schema"), (TAG_CONFIG, "config"), (TAG_PATTERNS, "patterns")];
+/// Magic, version and section count.
+const HEADER_LEN: usize = 16;
+/// A section's tag and length, before its payload.
+const FRAME_HEAD: usize = 12;
+/// A section's CRC, after its payload.
+const FRAME_TAIL: usize = 4;
+/// The commit marker and the body CRC.
+const FOOTER_LEN: usize = 12;
+
+/// The sections a file of `version` holds, in file order.
+fn sections_of(version: u32) -> Option<&'static [(u32, &'static str)]> {
+    match version {
+        FORMAT_VERSION => Some(&SECTIONS[..3]),
+        FORMAT_VERSION_V2 => Some(&SECTIONS),
+        _ => None,
+    }
+}
 
 /// Why a snapshot was rejected. One variant per failure class so callers
 /// (the CLI's exit code 3, `cape-serve` construction, the corruption
@@ -92,7 +117,9 @@ const SECTIONS: [(u32, &str); 3] =
 pub enum SnapshotError {
     /// The file does not start with the snapshot magic.
     BadMagic,
-    /// The file declares a format version this build cannot read.
+    /// The file declares a format version this build cannot read, or a
+    /// reader that needs the embedded relation was given a version 1
+    /// file.
     VersionUnsupported {
         /// The version the file declared.
         found: u32,
@@ -100,7 +127,7 @@ pub enum SnapshotError {
     /// A section failed its structural or CRC check.
     SectionCorrupt {
         /// Which section (`"header"`, `"schema"`, `"config"`,
-        /// `"patterns"`, or `"footer"`).
+        /// `"patterns"`, `"relation"`, or `"footer"`).
         section: &'static str,
     },
     /// The file ends early or its commit marker is missing (torn write).
@@ -118,9 +145,8 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::VersionUnsupported { found } => {
                 write!(
                     f,
-                    "unsupported snapshot version {found} (this build reads v{FORMAT_VERSION}; \
-                     v{} via the v2 loader)",
-                    v2::FORMAT_VERSION_V2
+                    "unsupported snapshot version {found} (this build reads v{FORMAT_VERSION} \
+                     and v{FORMAT_VERSION_V2}; only v{FORMAT_VERSION_V2} embeds the relation)"
                 )
             }
             SnapshotError::SectionCorrupt { section } => write!(f, "section corrupt: {section}"),
@@ -172,7 +198,7 @@ pub fn schema_fingerprint(schema: &Schema) -> u64 {
 
 // --- encoding --------------------------------------------------------------
 
-pub(crate) fn encode_schema_section(schema: &Schema) -> Vec<u8> {
+fn encode_schema_section(schema: &Schema) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(schema_fingerprint(schema));
     w.u32(schema.arity() as u32);
@@ -183,7 +209,7 @@ pub(crate) fn encode_schema_section(schema: &Schema) -> Vec<u8> {
     w.into_bytes()
 }
 
-pub(crate) fn encode_config_section(cfg: &MiningConfig) -> Vec<u8> {
+fn encode_config_section(cfg: &MiningConfig) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.f64(cfg.thresholds.theta);
     w.u64(cfg.thresholds.delta as u64);
@@ -227,7 +253,7 @@ fn write_attr_list(w: &mut ByteWriter, ids: &[AttrId]) {
     }
 }
 
-pub(crate) fn encode_patterns_section(store: &PatternStore) -> Vec<u8> {
+fn encode_patterns_section(store: &PatternStore) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(store.len() as u32);
     for (_, inst) in store.iter() {
@@ -266,12 +292,35 @@ pub(crate) fn encode_patterns_section(store: &PatternStore) -> Vec<u8> {
 
 /// Encode a snapshot to bytes (the pure half of [`save_snapshot`]).
 pub fn encode_snapshot(schema: &Schema, cfg: &MiningConfig, store: &PatternStore) -> Vec<u8> {
-    let payloads =
-        [encode_schema_section(schema), encode_config_section(cfg), encode_patterns_section(store)];
+    encode(schema, cfg, store, None)
+}
+
+/// Encode a version 1 file, or a version 2 file when `rel` is given.
+fn encode(
+    schema: &Schema,
+    cfg: &MiningConfig,
+    store: &PatternStore,
+    rel: Option<&Relation>,
+) -> Vec<u8> {
+    let mut payloads = vec![
+        encode_schema_section(schema),
+        encode_config_section(cfg),
+        encode_patterns_section(store),
+    ];
+    let mut version = FORMAT_VERSION;
+    if let Some(rel) = rel {
+        // The relation pads its slabs to absolute file offsets, so it
+        // needs to know where its payload will start.
+        let at = HEADER_LEN
+            + payloads.iter().map(|p| FRAME_HEAD + p.len() + FRAME_TAIL).sum::<usize>()
+            + FRAME_HEAD;
+        payloads.push(v2::encode_relation_section(rel, at));
+        version = FORMAT_VERSION_V2;
+    }
     let mut w = ByteWriter::new();
     w.bytes(MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.u32(SECTIONS.len() as u32);
+    w.u32(version);
+    w.u32(payloads.len() as u32);
     for ((tag, _), payload) in SECTIONS.iter().zip(&payloads) {
         w.u32(*tag);
         w.u64(payload.len() as u64);
@@ -283,6 +332,88 @@ pub fn encode_snapshot(schema: &Schema, cfg: &MiningConfig, store: &PatternStore
     out.extend_from_slice(FOOTER_MAGIC);
     out.extend_from_slice(&body_crc.to_le_bytes());
     out
+}
+
+// --- framing ---------------------------------------------------------------
+
+/// A snapshot whose framing checked out: the magic, a known version, that
+/// version's section tags in order, every section's CRC, the commit
+/// marker, nothing after it, and the body CRC. No payload is decoded.
+struct Framed<'a> {
+    version: u32,
+    /// `(section name, payload range)` in file order.
+    sections: Vec<(&'static str, Range<usize>)>,
+    bytes: &'a [u8],
+}
+
+impl<'a> Framed<'a> {
+    /// The payload of the `i`-th section (0 schema, 1 config, 2 patterns,
+    /// 3 relation).
+    fn payload(&self, i: usize) -> &'a [u8] {
+        &self.bytes[self.sections[i].1.clone()]
+    }
+}
+
+/// The one walk over a snapshot's framing, for every reader and
+/// [`layout`]. Each failure maps to the class the corruption matrix
+/// expects at that offset.
+fn parse_frames(bytes: &[u8]) -> Result<Framed<'_>, SnapshotError> {
+    // A short prefix of the valid magic is a truncation, any other
+    // leading bytes are not a snapshot at all.
+    if bytes.len() < MAGIC.len() {
+        return if *bytes == MAGIC[..bytes.len()] {
+            Err(SnapshotError::Truncated)
+        } else {
+            Err(SnapshotError::BadMagic)
+        };
+    }
+    let mut r = ByteReader::new(bytes);
+    if r.take(8).expect("checked above") != MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let version = r.u32().map_err(|_| SnapshotError::Truncated)?;
+    let table = sections_of(version).ok_or(SnapshotError::VersionUnsupported { found: version })?;
+    let n_sections = r.u32().map_err(|_| SnapshotError::Truncated)?;
+    if n_sections as usize != table.len() {
+        return Err(SnapshotError::SectionCorrupt { section: "header" });
+    }
+
+    // Sections, in fixed order, each CRC-checked.
+    let mut sections = Vec::with_capacity(table.len());
+    for &(expected_tag, name) in table {
+        let tag = r.u32().map_err(|_| SnapshotError::Truncated)?;
+        if tag != expected_tag {
+            return Err(SnapshotError::SectionCorrupt { section: name });
+        }
+        let len = r.u64().map_err(|_| SnapshotError::Truncated)?;
+        let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated)?;
+        if len > r.remaining() {
+            return Err(SnapshotError::Truncated);
+        }
+        let start = bytes.len() - r.remaining();
+        let payload = r.take(len).expect("length checked");
+        let crc = r.u32().map_err(|_| SnapshotError::Truncated)?;
+        if codec::crc32(payload) != crc {
+            return Err(SnapshotError::SectionCorrupt { section: name });
+        }
+        sections.push((name, start..start + len));
+    }
+
+    // Footer: commit marker + whole-body CRC. Absence ⇒ the write never
+    // committed (torn write) ⇒ Truncated.
+    let body_end = bytes.len() - r.remaining();
+    let footer = r.take(FOOTER_LEN).map_err(|_| SnapshotError::Truncated)?;
+    if &footer[..8] != FOOTER_MAGIC {
+        return Err(SnapshotError::Truncated);
+    }
+    if !r.is_empty() {
+        return Err(SnapshotError::SectionCorrupt { section: "footer" });
+    }
+    let file_crc = u32::from_le_bytes(footer[8..12].try_into().expect("4 bytes"));
+    if codec::crc32(&bytes[..body_end]) != file_crc {
+        return Err(SnapshotError::SectionCorrupt { section: "footer" });
+    }
+    Ok(Framed { version, sections, bytes })
 }
 
 // --- layout (for fault injection and tooling) ------------------------------
@@ -311,38 +442,29 @@ impl SnapshotLayout {
     }
 }
 
-/// Parse the structural layout of a *valid* snapshot (bounds-checked but
-/// without CRC validation — the injector needs offsets, not contents).
+/// The structural layout of a *valid* snapshot of either version, from
+/// the same walk the readers make.
 pub fn layout(bytes: &[u8]) -> Result<SnapshotLayout, SnapshotError> {
-    let mut r = ByteReader::new(bytes);
-    r.take(8).map_err(|_| SnapshotError::Truncated)?;
-    r.u32().map_err(|_| SnapshotError::Truncated)?;
-    let n = r.u32().map_err(|_| SnapshotError::Truncated)? as usize;
-    if n != SECTIONS.len() {
-        return Err(SnapshotError::SectionCorrupt { section: "header" });
-    }
-    let header = 0..(bytes.len() - r.remaining());
-    let mut sections = Vec::new();
-    for (_, name) in SECTIONS {
-        let start = bytes.len() - r.remaining();
-        r.take(4).map_err(|_| SnapshotError::Truncated)?;
-        let len = r.u64().map_err(|_| SnapshotError::Truncated)? as usize;
-        r.take(len).map_err(|_| SnapshotError::Truncated)?;
-        r.take(4).map_err(|_| SnapshotError::Truncated)?;
-        sections.push((name, start..(bytes.len() - r.remaining())));
-    }
-    let footer_start = bytes.len() - r.remaining();
-    r.take(12).map_err(|_| SnapshotError::Truncated)?;
-    Ok(SnapshotLayout { header, sections, footer: footer_start..(bytes.len() - r.remaining()) })
+    let framed = parse_frames(bytes)?;
+    let sections = framed
+        .sections
+        .into_iter()
+        .map(|(name, p)| (name, p.start - FRAME_HEAD..p.end + FRAME_TAIL))
+        .collect();
+    Ok(SnapshotLayout {
+        header: 0..HEADER_LEN,
+        sections,
+        footer: bytes.len() - FOOTER_LEN..bytes.len(),
+    })
 }
 
 // --- decoding --------------------------------------------------------------
 
-pub(crate) fn corrupt(section: &'static str) -> impl Fn(WireError) -> SnapshotError {
+fn corrupt(section: &'static str) -> impl Fn(WireError) -> SnapshotError {
     move |_| SnapshotError::SectionCorrupt { section }
 }
 
-pub(crate) fn decode_schema_section(payload: &[u8]) -> Result<(u64, Schema), SnapshotError> {
+fn decode_schema_section(payload: &[u8]) -> Result<(u64, Schema), SnapshotError> {
     let e = corrupt("schema");
     let mut r = ByteReader::new(payload);
     let fingerprint = r.u64().map_err(&e)?;
@@ -364,7 +486,7 @@ pub(crate) fn decode_schema_section(payload: &[u8]) -> Result<(u64, Schema), Sna
     Ok((fingerprint, schema))
 }
 
-pub(crate) fn decode_config_section(payload: &[u8]) -> Result<MiningConfig, SnapshotError> {
+fn decode_config_section(payload: &[u8]) -> Result<MiningConfig, SnapshotError> {
     let e = corrupt("config");
     let mut r = ByteReader::new(payload);
     let theta = r.f64().map_err(&e)?;
@@ -418,11 +540,11 @@ pub(crate) fn decode_config_section(payload: &[u8]) -> Result<MiningConfig, Snap
     })
 }
 
-pub(crate) struct PendingPattern {
-    pub(crate) arp: Arp,
-    pub(crate) confidence: f64,
-    pub(crate) num_supported: usize,
-    pub(crate) locals: HashMap<Vec<Value>, LocalPattern>,
+struct PendingPattern {
+    arp: Arp,
+    confidence: f64,
+    num_supported: usize,
+    locals: HashMap<Vec<Value>, LocalPattern>,
 }
 
 fn read_attr_list(r: &mut ByteReader) -> Result<Vec<AttrId>, WireError> {
@@ -430,9 +552,7 @@ fn read_attr_list(r: &mut ByteReader) -> Result<Vec<AttrId>, WireError> {
     (0..n).map(|_| r.u32().map(|a| a as AttrId)).collect()
 }
 
-pub(crate) fn decode_patterns_section(
-    payload: &[u8],
-) -> Result<Vec<PendingPattern>, SnapshotError> {
+fn decode_patterns_section(payload: &[u8]) -> Result<Vec<PendingPattern>, SnapshotError> {
     let e = corrupt("patterns");
     let mut r = ByteReader::new(payload);
     let n = r.count(1).map_err(&e)?;
@@ -485,7 +605,7 @@ pub(crate) fn decode_patterns_section(
 }
 
 /// Check the recorded schema against the live relation's.
-pub(crate) fn validate_schema(recorded: &Schema, live: &Schema) -> Result<(), SnapshotError> {
+fn validate_schema(recorded: &Schema, live: &Schema) -> Result<(), SnapshotError> {
     if schema_fingerprint(recorded) == schema_fingerprint(live) && recorded.arity() == live.arity()
     {
         return Ok(());
@@ -513,7 +633,7 @@ pub(crate) fn validate_schema(recorded: &Schema, live: &Schema) -> Result<(), Sn
 
 /// Rebuild pattern instances: recompute the shared group data per
 /// `(F ∪ V, aggregates)` from the live relation.
-pub(crate) fn rebuild_store(
+fn rebuild_store(
     pendings: Vec<PendingPattern>,
     rel: &Relation,
 ) -> Result<PatternStore, SnapshotError> {
@@ -566,82 +686,26 @@ pub(crate) fn rebuild_store(
     Ok(store)
 }
 
-/// A v1 snapshot whose header, section CRCs and footer are verified,
-/// whose schema matches the live relation, and whose config is decoded.
-/// The patterns section is still encoded.
+/// A snapshot of either version whose framing is verified, whose schema
+/// matches the live relation, and whose config is decoded. The patterns
+/// (and a version 2 file's relation) are still encoded.
 struct Checked<'a> {
     schema: Schema,
     config: MiningConfig,
-    patterns: &'a [u8],
+    framed: Framed<'a>,
 }
 
 fn check<'a>(bytes: &'a [u8], live: &Schema) -> Result<Checked<'a>, SnapshotError> {
-    // Header. A short prefix of the valid magic is a truncation, any
-    // other leading bytes are not a snapshot at all.
-    if bytes.len() < MAGIC.len() {
-        return if *bytes == MAGIC[..bytes.len()] {
-            Err(SnapshotError::Truncated)
-        } else {
-            Err(SnapshotError::BadMagic)
-        };
-    }
-    let mut r = ByteReader::new(bytes);
-    if r.take(8).expect("checked above") != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u32().map_err(|_| SnapshotError::Truncated)?;
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::VersionUnsupported { found: version });
-    }
-    let n_sections = r.u32().map_err(|_| SnapshotError::Truncated)?;
-    if n_sections as usize != SECTIONS.len() {
-        return Err(SnapshotError::SectionCorrupt { section: "header" });
-    }
-
-    // Sections, in fixed order, each CRC-checked before decoding.
-    let mut payloads: Vec<&[u8]> = Vec::with_capacity(SECTIONS.len());
-    for (expected_tag, name) in SECTIONS {
-        let tag = r.u32().map_err(|_| SnapshotError::Truncated)?;
-        if tag != expected_tag {
-            return Err(SnapshotError::SectionCorrupt { section: name });
-        }
-        let len = r.u64().map_err(|_| SnapshotError::Truncated)?;
-        let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated)?;
-        if len > r.remaining() {
-            return Err(SnapshotError::Truncated);
-        }
-        let payload = r.take(len).expect("length checked");
-        let crc = r.u32().map_err(|_| SnapshotError::Truncated)?;
-        if codec::crc32(payload) != crc {
-            return Err(SnapshotError::SectionCorrupt { section: name });
-        }
-        payloads.push(payload);
-    }
-
-    // Footer: commit marker + whole-body CRC. Absence ⇒ the write never
-    // committed (torn write) ⇒ Truncated.
-    let body_end = bytes.len() - r.remaining();
-    let footer = r.take(12).map_err(|_| SnapshotError::Truncated)?;
-    if &footer[..8] != FOOTER_MAGIC {
-        return Err(SnapshotError::Truncated);
-    }
-    if !r.is_empty() {
-        return Err(SnapshotError::SectionCorrupt { section: "footer" });
-    }
-    let file_crc = u32::from_le_bytes(footer[8..12].try_into().expect("4 bytes"));
-    if codec::crc32(&bytes[..body_end]) != file_crc {
-        return Err(SnapshotError::SectionCorrupt { section: "footer" });
-    }
-
-    // Decode the small sections and validate against the live relation.
-    let (_, schema) = decode_schema_section(payloads[0])?;
+    let framed = parse_frames(bytes)?;
+    let (_, schema) = decode_schema_section(framed.payload(0))?;
     validate_schema(&schema, live)?;
-    let config = decode_config_section(payloads[1])?;
-    Ok(Checked { schema, config, patterns: payloads[2] })
+    let config = decode_config_section(framed.payload(1))?;
+    Ok(Checked { schema, config, framed })
 }
 
 /// Run `read` over `bytes`, counting `store.load_ns` / `store.bytes` on
-/// success and `store.corrupt_rejects` on every rejection.
+/// success and `store.corrupt_rejects` on every rejection. Every reader
+/// of either version goes through here.
 fn counted<T>(
     bytes: &[u8],
     read: impl FnOnce(&[u8]) -> Result<T, SnapshotError>,
@@ -659,29 +723,33 @@ fn counted<T>(
     out
 }
 
-/// Decode and validate a snapshot from bytes, recomputing group data
-/// from `rel`. Counts `store.load_ns` / `store.bytes` on success and
+/// Decode and validate a snapshot of either version from bytes,
+/// recomputing group data from `rel`: the caller's relation is
+/// authoritative (it may have grown past the snapshot), so a version 2
+/// file's relation section is CRC-checked but not decoded. Counts
+/// `store.load_ns` / `store.bytes` on success and
 /// `store.corrupt_rejects` on every rejection.
 pub fn read_snapshot(bytes: &[u8], rel: &Relation) -> Result<SnapshotContents, SnapshotError> {
     counted(bytes, |bytes| {
-        let Checked { schema, config, patterns } = check(bytes, rel.schema())?;
-        let store = rebuild_store(decode_patterns_section(patterns)?, rel)?;
+        let Checked { schema, config, framed } = check(bytes, rel.schema())?;
+        let store = rebuild_store(decode_patterns_section(framed.payload(2))?, rel)?;
         Ok(SnapshotContents { schema, config, store })
     })
 }
 
-/// The mining configuration of the snapshot file at `path`, after every
-/// check [`read_snapshot`] makes except decoding the patterns and
-/// rebuilding their group data — for callers that re-mine the store.
+/// The format version and mining configuration of the snapshot file at
+/// `path`, after every check [`read_snapshot`] makes except decoding the
+/// patterns and rebuilding their group data — for callers that re-mine
+/// the store.
 pub(crate) fn load_snapshot_config(
     path: &Path,
     live: &Schema,
-) -> Result<MiningConfig, SnapshotError> {
+) -> Result<(u32, MiningConfig), SnapshotError> {
     let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(format!("read: {e}")))?;
-    counted(&bytes, |bytes| check(bytes, live).map(|c| c.config))
+    counted(&bytes, |bytes| check(bytes, live).map(|c| (c.framed.version, c.config)))
 }
 
-/// Load and validate a snapshot file against `rel`.
+/// Load and validate a snapshot file of either version against `rel`.
 pub fn load_snapshot(
     path: impl AsRef<Path>,
     rel: &Relation,
@@ -700,9 +768,15 @@ pub fn save_snapshot(
     cfg: &MiningConfig,
     store: &PatternStore,
 ) -> Result<u64, SnapshotError> {
-    let path = path.as_ref();
+    save(path.as_ref(), || encode_snapshot(schema, cfg, store))
+}
+
+/// Encode with `encode`, publish the bytes at `path` with
+/// [`write_atomic`], and count `store.save_ns` / `store.bytes` (the
+/// savers of both versions).
+fn save(path: &Path, encode: impl FnOnce() -> Vec<u8>) -> Result<u64, SnapshotError> {
     let t0 = std::time::Instant::now();
-    let bytes = encode_snapshot(schema, cfg, store);
+    let bytes = encode();
     write_atomic(path, &bytes)?;
     cape_obs::observe_ns("store.save_ns", t0.elapsed().as_nanos() as u64);
     cape_obs::counter_add("store.bytes", bytes.len() as u64);
@@ -710,9 +784,8 @@ pub fn save_snapshot(
 }
 
 /// Durably publish `bytes` at `path`: write to a sibling temp file,
-/// `fsync`, atomically rename, `fsync` the directory (shared by the v1
-/// and v2 savers).
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+/// `fsync`, atomically rename, `fsync` the directory.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     {

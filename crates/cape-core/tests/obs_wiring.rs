@@ -172,6 +172,50 @@ fn snapshot_store_publishes_save_load_and_reject_metrics() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A version 2 file is saved and read through the same counters as a
+/// version 1 file, and a damaged relation section counts as a reject.
+#[test]
+fn v2_snapshot_publishes_the_same_metrics() {
+    use cape_core::snapshot::{self, SnapshotError};
+    let rel = shops();
+    let cfg = config();
+    let store = ArpMiner.mine(&rel, &cfg).unwrap().store;
+    let dir = std::env::temp_dir().join(format!("cape-obs-snap-v2-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("store.cape");
+
+    let recorder = cape_obs::Recorder::new();
+    let install = recorder.install();
+    let written = snapshot::save_snapshot_v2(&path, rel.schema(), &cfg, &store, &rel).unwrap();
+    let snap = recorder.snapshot();
+    assert_eq!(snap.histograms.get("store.save_ns").map(|h| h.count), Some(1));
+    assert_eq!(snap.counter("store.bytes"), written);
+    let loaded = snapshot::load_snapshot(&path, &rel).unwrap();
+    drop(install);
+    assert_eq!(loaded.store.len(), store.len());
+    let snap = recorder.snapshot();
+    assert_eq!(snap.histograms.get("store.load_ns").map(|h| h.count), Some(1));
+    assert_eq!(snap.counter("store.bytes") - written, std::fs::metadata(&path).unwrap().len());
+    assert_eq!(snap.counter("store.corrupt_rejects"), 0);
+
+    // One flipped byte inside the relation section's payload.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let (name, relc) = snapshot::layout(&bytes).unwrap().sections[3].clone();
+    assert_eq!(name, "relation");
+    bytes[(relc.start + relc.end) / 2] ^= 0xFF;
+    std::fs::write(&path, &bytes).unwrap();
+    let recorder = cape_obs::Recorder::new();
+    let install = recorder.install();
+    let err = snapshot::load_snapshot(&path, &rel).unwrap_err();
+    drop(install);
+    assert_eq!(err, SnapshotError::SectionCorrupt { section: "relation" });
+    let snap = recorder.snapshot();
+    assert_eq!(snap.counter("store.corrupt_rejects"), 1);
+    assert!(!snap.histograms.contains_key("store.load_ns"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn baseline_explainer_is_instrumented() {
     let session = CapeSession::mine(shops(), &config()).unwrap();

@@ -13,7 +13,7 @@
 //! window where a request can observe half of two snapshots.
 
 use cape_core::incr::{AppendReport, IncrStore};
-use cape_core::snapshot::{load_snapshot_auto, SnapshotError};
+use cape_core::snapshot::{load_snapshot, SnapshotError};
 use cape_core::IncrError;
 use cape_data::{Relation, Value};
 use cape_serve::{ExplainService, PatternStoreHandle, ServeConfig};
@@ -186,7 +186,7 @@ impl StoreSlot {
             })?;
             (incr_handle(&incr), Some(incr))
         } else {
-            let contents = load_snapshot_auto(path, &self.relation)?;
+            let contents = load_snapshot(path, &self.relation)?;
             let handle =
                 PatternStoreHandle::from_arcs(Arc::clone(&self.relation), Arc::new(contents.store));
             (handle, None)

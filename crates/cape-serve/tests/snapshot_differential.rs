@@ -3,7 +3,7 @@
 //!
 //! For DBLP and Crime, a store is mined in memory, persisted to a
 //! `.cape` snapshot on disk, reloaded through
-//! [`snapshot::load_snapshot_auto`] into a [`PatternStoreHandle`] (the
+//! [`snapshot::load_snapshot`] into a [`PatternStoreHandle`] (the
 //! path `cape serve` takes for a read-only store), and driven through the same deterministic question grid as the
 //! in-memory handle — via the sequential optimized explainer and the
 //! concurrent `ExplainService` at 1 and 4 workers. Candidate keys,
@@ -82,7 +82,7 @@ fn run_snapshot_matrix(
     snapshot::save_snapshot(&path, rel.schema(), mcfg, &store).expect("save");
 
     let memory = PatternStoreHandle::new(rel.clone(), store);
-    let loaded = snapshot::load_snapshot_auto(&path, &rel).expect("load");
+    let loaded = snapshot::load_snapshot(&path, &rel).expect("load");
     let durable = PatternStoreHandle::new(rel, loaded.store);
     assert_eq!(memory.store().len(), durable.store().len(), "{label}: store size changed");
 
@@ -171,7 +171,7 @@ fn snapshot_for_wrong_relation_is_rejected_at_service_construction() {
     snapshot::save_snapshot(&path, rel.schema(), &mcfg, &store).expect("save");
 
     let other = cape_datagen::crime::generate(&cape_datagen::crime::CrimeConfig::with_rows(100));
-    match snapshot::load_snapshot_auto(&path, &other)
+    match snapshot::load_snapshot(&path, &other)
         .map(|loaded| PatternStoreHandle::new(other, loaded.store))
     {
         Err(snapshot::SnapshotError::SchemaMismatch { .. }) => {}
