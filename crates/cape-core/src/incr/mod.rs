@@ -1,39 +1,34 @@
 //! Incremental ARP maintenance: streaming appends over a mined store.
 //!
 //! [`IncrStore`] keeps the mining state of a relation *live*: appending a
-//! batch of rows updates the per-group aggregates in place, re-validates
-//! only the fragments whose membership or aggregate outputs actually
-//! changed (via per-fragment sufficient statistics — [`stats`]), and
-//! re-derives the global holds from the updated local counts. Untouched
-//! fragments keep their local patterns bit-for-bit; the regenerated
-//! [`PatternStore`] lists instances in the exact order the batch miners
-//! produce (group sets in lattice order × `(F, V)` splits × candidates),
-//! so an incremental store is interchangeable with a re-mined one.
+//! batch of rows updates the per-group aggregates in place, refits only
+//! the fragments whose membership or aggregate outputs actually changed
+//! — with the batch miners' own per-fragment fitter, over the fragment's
+//! grouped rows — and re-derives the global holds from the updated local
+//! counts. Untouched fragments keep their local patterns bit-for-bit; the
+//! regenerated [`PatternStore`] lists instances in the exact order the
+//! batch miners produce (group sets in lattice order × `(F, V)` splits ×
+//! candidates), so an incremental store is interchangeable with a
+//! re-mined one.
 //!
 //! Durability is a hot/durable tier split: the base relation's snapshot
 //! (either version) plus a write-ahead log of append deltas beside it
 //! ([`wal`]). Every append is committed to the WAL — fsync'd — *before*
 //! the in-memory state changes; [`IncrStore::open`] replays the WAL over
-//! the base relation and rebuilds the statistics, and
+//! the base relation and rebuilds the fragment state, and
 //! [`IncrStore::compact`] folds the accumulated delta into a fresh
 //! snapshot of the version it opened and rewrites the WAL to a single
 //! consolidated record.
 //!
-//! What stays out of scope (and falls back to the batch path): candidates
-//! whose fit has no compact sufficient statistics — multi-predictor
-//! linear and quadratic models — are refit from the touched fragment's
-//! rows only; deviation extremes are always recomputed by one scan of the
-//! touched fragment (a running max cannot be maintained under value
-//! updates). FD pruning changes the candidate space dynamically and is
-//! rejected up front.
+//! FD pruning changes the candidate space dynamically and is rejected up
+//! front.
 
-pub mod stats;
 pub mod wal;
 
 use crate::config::MiningConfig;
 use crate::group_data::GroupData;
 use crate::mining::candidates::{group_sets, splits_of, Split};
-use crate::mining::fit::{FitOutcome, SplitCandidate};
+use crate::mining::fit::{FitOutcome, FragmentFitter, SplitCandidate};
 use crate::mining::{make_instance, share_grp::build_candidates, validate_config};
 use crate::pattern::Arp;
 use crate::snapshot::{
@@ -44,8 +39,6 @@ use crate::store::{LocalPattern, PatternStore};
 use cape_data::agg::Accumulator;
 use cape_data::ops::grouped_output_schema;
 use cape_data::{AggFunc, AggSpec, AttrId, Relation, Schema, Value, ValueType};
-use cape_regress::{fit, Fitted, ModelType};
-use stats::{ConstStats, LinStats};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -154,38 +147,12 @@ struct Durability {
     wal_size: u64,
 }
 
-/// Per-candidate sufficient statistics within one fragment.
-enum CandStats {
-    /// Constant fit from running moments.
-    Const(ConstStats),
-    /// Single-predictor linear fit from running moments.
-    Lin1(LinStats),
-    /// No compact statistics (multi-predictor linear, quadratic): refit
-    /// from the fragment's rows when touched.
-    Refit,
-}
-
-/// One fragment (`t[F] = f`) of one split: its member grouped rows and
-/// per-candidate statistics plus current local patterns.
+/// One fragment (`t[F] = f`) of one split: its member grouped rows, in
+/// ascending order, and its current local pattern per candidate.
 struct FragState {
     key: Vec<Value>,
     slots: Vec<usize>,
-    cand_stats: Vec<CandStats>,
     locals: Vec<Option<LocalPattern>>,
-}
-
-impl FragState {
-    fn new(key: Vec<Value>, candidates: &[SplitCandidate], n_v: usize) -> Self {
-        let cand_stats = candidates
-            .iter()
-            .map(|c| match c.model {
-                ModelType::Const => CandStats::Const(ConstStats::new()),
-                ModelType::Lin if n_v == 1 => CandStats::Lin1(LinStats::new()),
-                _ => CandStats::Refit,
-            })
-            .collect();
-        FragState { key, slots: Vec::new(), cand_stats, locals: vec![None; candidates.len()] }
-    }
 }
 
 /// One `(F, V)` split of a group set: its candidates and fragment states.
@@ -256,27 +223,22 @@ impl GroupState {
     }
 
     /// Fold rows `start..` of `rel` into the live aggregation, then
-    /// re-validate every fragment they touched. Returns the number of
-    /// touched fragments.
+    /// refit every fragment they touched. Returns the number of touched
+    /// fragments.
     fn ingest(
         &mut self,
         rel: &Relation,
         start: usize,
         thresholds: &crate::config::Thresholds,
     ) -> Result<usize, IncrError> {
-        // Phase 1: route each new row to its grouped slot, capturing the
-        // slot's aggregate outputs before its first update (`None` marks a
-        // slot created by this batch).
-        let mut touched: HashMap<usize, Option<Vec<Value>>> = HashMap::new();
+        // Phase 1: route each new row to its grouped slot. Slots from
+        // `first_new` on are created by this batch.
+        let first_new = self.grouped.num_rows();
+        let mut touched: Vec<usize> = Vec::new();
         for i in start..rel.num_rows() {
             let key = rel.row_project(i, &self.g);
             let slot = match self.index.get(&key) {
-                Some(&s) => {
-                    touched
-                        .entry(s)
-                        .or_insert_with(|| Some(self.accs[s].iter().map(|a| a.finish()).collect()));
-                    s
-                }
+                Some(&s) => s,
                 None => {
                     let s = self.grouped.num_rows();
                     self.accs
@@ -287,10 +249,10 @@ impl GroupState {
                     row.push(Value::Int(0));
                     self.grouped.push_row(row).expect("grouped arity is fixed");
                     self.index.insert(key, s);
-                    touched.insert(s, None);
                     s
                 }
             };
+            touched.push(slot);
             for (j, &(_, attr)) in self.aggs.iter().enumerate() {
                 self.accs[slot][j]
                     .update(attr.map(|a| rel.value(i, a)).as_ref())
@@ -299,18 +261,16 @@ impl GroupState {
             self.row_counts[slot] += 1;
         }
 
-        // The map's iteration order is arbitrary, but phases 3–4 fold
-        // floating-point statistics in iteration order — sort by slot so
-        // every run (and the batch path, which gathers fragment rows in
-        // ascending grouped-row order) folds in the same order. Without
-        // this, a fragment whose GoF sits a few ulps from θ can flip its
-        // hold decision between two runs of the same build.
-        let mut touched: Vec<(usize, Option<Vec<Value>>)> = touched.into_iter().collect();
-        touched.sort_unstable_by_key(|&(slot, _)| slot);
+        // Sorting by slot appends each batch's new slots to their
+        // fragments in ascending order, so every fragment's slot list
+        // stays ascending: one order per fragment, whatever the batching,
+        // for the fitter to gather its points in.
+        touched.sort_unstable();
+        touched.dedup();
 
         // Phase 2: refresh the touched grouped rows' aggregate outputs.
         let base = self.g.len();
-        for &(slot, _) in &touched {
+        for &slot in &touched {
             for (j, acc) in self.accs[slot].iter().enumerate() {
                 self.grouped.set_value(slot, base + j, acc.finish());
             }
@@ -321,190 +281,52 @@ impl GroupState {
             );
         }
 
-        // Phase 3: per split, move each touched slot's old aggregate
-        // values out of its fragment's statistics and the new ones in,
-        // then recompute the locals of every touched fragment.
+        // Phase 3: per split, add each new slot to its fragment, then
+        // refit every touched fragment with the batch miners' fitter.
         let delta = thresholds.delta;
         let grouped = &self.grouped;
         let mut touched_frags_total = 0usize;
         for sp in &mut self.splits {
             let mut touched_frags: HashSet<usize> = HashSet::new();
-            for (slot, old) in &touched {
-                let slot = *slot;
+            for &slot in &touched {
                 let f_key = grouped.row_project(slot, &sp.f_cols);
                 let fi = match sp.frag_index.get(&f_key) {
                     Some(&fi) => fi,
                     None => {
                         let fi = sp.frags.len();
-                        sp.frags.push(FragState::new(
-                            f_key.clone(),
-                            &sp.candidates,
-                            sp.v_cols.len(),
-                        ));
+                        sp.frags.push(FragState {
+                            key: f_key.clone(),
+                            slots: Vec::new(),
+                            locals: vec![None; sp.candidates.len()],
+                        });
                         sp.frag_index.insert(f_key, fi);
                         fi
                     }
                 };
                 let frag = &mut sp.frags[fi];
-                if old.is_none() {
+                if slot >= first_new {
                     frag.slots.push(slot);
                     // Support is monotone: count the δ-crossing once.
                     if frag.slots.len() == delta.max(1) {
                         sp.supported += 1;
                     }
                 }
-                for (ci, cand) in sp.candidates.iter().enumerate() {
-                    let agg_idx = cand.agg_col - base;
-                    let new_y = grouped.value(slot, cand.agg_col).as_f64();
-                    // `None` = new slot (nothing to remove); `Some(None)`
-                    // = the old aggregate output was NULL.
-                    let old_y: Option<Option<f64>> =
-                        old.as_ref().map(|finishes| finishes[agg_idx].as_f64());
-                    match &mut frag.cand_stats[ci] {
-                        CandStats::Const(st) => {
-                            if let Some(oy) = old_y {
-                                st.remove(oy);
-                            }
-                            st.add(new_y);
-                        }
-                        CandStats::Lin1(st) => {
-                            let x = grouped.value(slot, sp.v_cols[0]).as_f64();
-                            if let Some(oy) = old_y {
-                                st.remove(x, oy);
-                            }
-                            st.add(x, new_y);
-                        }
-                        CandStats::Refit => {}
-                    }
-                }
                 touched_frags.insert(fi);
             }
 
-            // Phase 4: recompute the locals of the touched fragments only.
-            let SplitState { candidates, v_cols, frags, .. } = sp;
+            let mut fitter = FragmentFitter::new(grouped, &sp.v_cols, &sp.candidates, thresholds);
             for &fi in &touched_frags {
-                let frag = &mut frags[fi];
-                let supported = frag.slots.len() >= delta;
-                for (ci, cand) in candidates.iter().enumerate() {
-                    let local = if supported {
-                        compute_local(
-                            grouped,
-                            &frag.slots,
-                            &frag.cand_stats[ci],
-                            cand,
-                            v_cols,
-                            thresholds,
-                        )
-                    } else {
-                        None
-                    };
-                    frag.locals[ci] = local;
+                let frag = &mut sp.frags[fi];
+                frag.locals.fill(None);
+                if frag.slots.len() >= delta {
+                    let locals = &mut frag.locals;
+                    fitter.fit(&frag.slots, |ci, local| locals[ci] = Some(local));
                 }
             }
             touched_frags_total += touched_frags.len();
         }
         Ok(touched_frags_total)
     }
-}
-
-/// When a stats-path GoF lands this close to θ, the hold decision is
-/// decided by floating-point noise (the incremental and batch sums differ
-/// in their last ulps). Inside this band the fragment is refit exactly
-/// like the batch path, so `gof < θ` flips identically on both sides.
-const GOF_EDGE: f64 = 1e-9;
-
-/// Refit one fragment from its rows with the exact batch-path gathering
-/// rules: non-NULL `y`; for models that read predictors, additionally all
-/// `V` values present. `None` on < δ usable rows or a failed fit.
-fn exact_refit(
-    grouped: &Relation,
-    slots: &[usize],
-    cand: &SplitCandidate,
-    v_cols: &[usize],
-    th: &crate::config::Thresholds,
-) -> Option<Fitted> {
-    let lin = cand.model.requires_numeric_predictors();
-    let mut xs: Vec<Vec<f64>> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    for &slot in slots {
-        let Some(y) = grouped.value(slot, cand.agg_col).as_f64() else { continue };
-        if lin {
-            let Some(x) = predictor_row(grouped, slot, v_cols) else { continue };
-            xs.push(x);
-        }
-        ys.push(y);
-    }
-    if ys.len() < th.delta {
-        return None;
-    }
-    fit(cand.model, &xs, &ys).ok()
-}
-
-/// Compute one fragment's local pattern for one candidate, mirroring the
-/// batch gates of `fit_split`: usable evidence ≥ δ, a successful fit, GoF
-/// ≥ θ, then one scan for the deviation extremes.
-fn compute_local(
-    grouped: &Relation,
-    slots: &[usize],
-    stats: &CandStats,
-    cand: &SplitCandidate,
-    v_cols: &[usize],
-    th: &crate::config::Thresholds,
-) -> Option<LocalPattern> {
-    let fast = match stats {
-        CandStats::Const(st) => {
-            if st.n() < th.delta {
-                return None;
-            }
-            Some(st.fit()?)
-        }
-        CandStats::Lin1(st) => {
-            if st.n() < th.delta {
-                return None;
-            }
-            Some(st.fit()?)
-        }
-        CandStats::Refit => None,
-    };
-    let fitted: Fitted = match fast {
-        Some(f) if (f.gof - th.theta).abs() >= GOF_EDGE => f,
-        // Knife-edge GoF (or no sufficient statistics): take the batch
-        // path's exact number.
-        _ => exact_refit(grouped, slots, cand, v_cols, th)?,
-    };
-    if fitted.gof < th.theta {
-        return None;
-    }
-
-    // Deviation extremes cannot be maintained as running values (an
-    // update can retire the current maximum), so rescan the touched
-    // fragment's usable rows — still O(|fragment|), never O(|grouped|).
-    let lin = cand.model.requires_numeric_predictors();
-    let mut max_pos = 0.0f64;
-    let mut max_neg = 0.0f64;
-    for &slot in slots {
-        let Some(y) = grouped.value(slot, cand.agg_col).as_f64() else { continue };
-        let dev = if lin {
-            let Some(x) = predictor_row(grouped, slot, v_cols) else { continue };
-            y - fitted.model.predict(&x)
-        } else {
-            y - fitted.model.predict(&[])
-        };
-        max_pos = max_pos.max(dev);
-        max_neg = max_neg.min(dev);
-    }
-    Some(LocalPattern { fitted, support: slots.len(), max_pos_dev: max_pos, max_neg_dev: max_neg })
-}
-
-/// The numeric predictor vector of one grouped row, or `None` when any
-/// predictor is NULL/non-numeric (the batch path drops such rows for
-/// models that read predictors).
-fn predictor_row(grouped: &Relation, slot: usize, v_cols: &[usize]) -> Option<Vec<f64>> {
-    let mut x = Vec::with_capacity(v_cols.len());
-    for &c in v_cols {
-        x.push(grouped.value(slot, c).as_f64()?);
-    }
-    Some(x)
 }
 
 /// Reject configurations that cannot be maintained incrementally:

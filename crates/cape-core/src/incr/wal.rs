@@ -27,6 +27,7 @@
 //! reordered delta is ever installed.
 
 use crate::snapshot::codec::{crc32, read_value, write_value, ByteReader, ByteWriter};
+use crate::snapshot::write_atomic;
 use cape_data::Value;
 use std::io::Write;
 use std::ops::Range;
@@ -334,7 +335,7 @@ pub fn load_wal(
 /// Create a fresh WAL containing only a header. Overwrites atomically
 /// (temp sibling + fsync + rename) so a crash never leaves a half header.
 pub fn init_wal(path: impl AsRef<Path>, schema_fp: u64, folded_seq: u64) -> Result<(), WalError> {
-    write_atomic(path.as_ref(), &encode_header(schema_fp, folded_seq))
+    write_atomic(path.as_ref(), &encode_header(schema_fp, folded_seq)).map_err(io_err)
 }
 
 /// Append one committed record to an existing WAL and fsync it. The
@@ -367,28 +368,8 @@ pub fn write_compacted(
     if !delta_rows.is_empty() {
         bytes.extend_from_slice(&encode_record(last_seq, delta_rows));
     }
-    write_atomic(path.as_ref(), &bytes)?;
+    write_atomic(path.as_ref(), &bytes).map_err(io_err)?;
     Ok(bytes.len() as u64)
-}
-
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), WalError> {
-    let tmp = path.with_extension(format!("waltmp.{}", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
-        f.write_all(bytes).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(io_err(e));
-    }
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,19 +1,24 @@
 //! Fragment fitting: the FitPattern procedure (Algorithm 6) evaluating
 //! whether patterns hold locally/globally by one scan of a sorted
 //! aggregation result, for *all* candidates sharing an `(F, V)` split.
+//!
+//! Its per-fragment body, `FragmentFitter`, is the only fitter: the
+//! batch miners run it through [`fit_split`], and `IncrStore` runs it over
+//! each fragment an append touched. NAIVE keeps its own retrieval queries
+//! but settles knife-edge GoFs with the same `settle_in_band`.
 
 use crate::config::Thresholds;
 use crate::store::LocalPattern;
 use cape_data::ops::perm_block_starts;
 use cape_data::{AggFunc, AttrId, NumView, Relation, Value};
-use cape_regress::{fit, fit_constant_batch, fit_linear1_batch, ModelType};
+use cape_regress::{fit, fit_constant_batch, fit_linear1_batch, Fitted, ModelType, RegressError};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// The batched kernels agree with the exact kernels to far below this
-/// band. A GoF landing within it of θ would let last-ulp differences flip
-/// the hold decision against the exact `fit` that NAIVE runs, so such
-/// fragments are re-derived with the exact kernel — the same guard the
-/// incremental stats path applies (`cape_core::incr`).
+/// The batched kernels, the exact kernel, and every gather order agree
+/// on a fragment's GoF to far below this band, so only a GoF landing
+/// within it of θ can fall on different sides of θ on different paths.
+/// [`settle_in_band`] redoes such fits in one canonical order.
 const GOF_EDGE: f64 = 1e-9;
 
 /// One pattern candidate sharing a given `(F, V)` split: the aggregate
@@ -77,119 +82,191 @@ pub fn fit_split(
     let mut fragments_fitted = 0u64;
     let mut patterns_found = 0u64;
 
-    struct Partial {
-        locals: HashMap<Vec<Value>, LocalPattern>,
-    }
-    let mut partials: Vec<Partial> =
-        candidates.iter().map(|_| Partial { locals: HashMap::new() }).collect();
+    let mut locals: Vec<HashMap<Vec<Value>, LocalPattern>> =
+        candidates.iter().map(|_| HashMap::new()).collect();
     let mut num_supported = 0usize;
-
-    let needs_numeric_x = candidates.iter().any(|c| c.model.requires_numeric_predictors());
+    let mut fitter = FragmentFitter::new(grouped, v_cols, candidates, thresholds);
     let starts = perm_block_starts(grouped, perm, f_cols);
-
-    // Distinct aggregate columns and each candidate's slot among them.
-    let mut distinct_cols: Vec<usize> = Vec::new();
-    let col_slot: Vec<usize> = candidates
-        .iter()
-        .map(|c| {
-            distinct_cols.iter().position(|&d| d == c.agg_col).unwrap_or_else(|| {
-                distinct_cols.push(c.agg_col);
-                distinct_cols.len() - 1
-            })
-        })
-        .collect();
-
-    // Per-block extraction buffers, reused across blocks. Predictor rows
-    // are only materialized when some candidate actually reads them —
-    // models that ignore predictors fit straight from the y buffer.
-    let mut xs_rows: Vec<Vec<f64>> = Vec::new();
-    let mut xs_flat: Vec<f64> = Vec::new();
-    let mut x_missing: Vec<bool> = Vec::new();
-    let mut ys_raw: Vec<Vec<Option<f64>>> = vec![Vec::new(); distinct_cols.len()];
-    let mut ys_dense: Vec<Vec<f64>> = vec![Vec::new(); distinct_cols.len()];
-    let mut ys_is_dense: Vec<bool> = vec![false; distinct_cols.len()];
-
     for w in starts.windows(2) {
-        let (start, end) = (w[0], w[1]);
-        let support = end - start;
-        if support < thresholds.delta {
+        let block = &perm[w[0]..w[1]];
+        if block.len() < thresholds.delta {
             continue; // insufficient evidence: excluded from frag_supp
         }
         num_supported += 1;
-        let f_key = grouped.row_project(perm[start], f_cols);
+        let f_key = grouped.row_project(block[0], f_cols);
+        fragments_fitted += fitter.fit(block, |ci, local| {
+            locals[ci].insert(f_key.clone(), local);
+        });
+    }
+
+    let out: Vec<Option<FitOutcome>> = locals
+        .into_iter()
+        .map(|locals| {
+            if num_supported == 0 {
+                return None;
+            }
+            let good = locals.len();
+            let confidence = good as f64 / num_supported as f64;
+            if good >= thresholds.global_support && confidence >= thresholds.lambda {
+                patterns_found += 1;
+                Some(FitOutcome { locals, confidence, num_supported })
+            } else {
+                None
+            }
+        })
+        .collect();
+    cape_obs::counter_add("mining.fragments_fitted", fragments_fitted);
+    cape_obs::counter_add("mining.patterns_found", patterns_found);
+    out
+}
+
+/// The per-fragment body of FitPattern, shared by [`fit_split`] and
+/// `IncrStore`'s refit of the fragments an append touched: gather one
+/// fragment's points from the grouped relation's slabs, fit every
+/// candidate (the batched kernels for Const and single-predictor Lin,
+/// the exact `fit` otherwise), settle in-band GoFs with
+/// [`settle_in_band`], and take each holding fit's deviation extremes.
+/// The scratch buffers are reused from fragment to fragment.
+pub(crate) struct FragmentFitter<'a> {
+    grouped: &'a Relation,
+    v_cols: &'a [usize],
+    candidates: &'a [SplitCandidate],
+    thresholds: &'a Thresholds,
+    needs_numeric_x: bool,
+    /// Distinct aggregate columns, and each candidate's slot among them.
+    distinct_cols: Vec<usize>,
+    col_slot: Vec<usize>,
+    // Predictor rows are only materialized when some candidate actually
+    // reads them — models that ignore predictors fit straight from the
+    // y buffer.
+    xs_rows: Vec<Vec<f64>>,
+    xs_flat: Vec<f64>,
+    x_missing: Vec<bool>,
+    ys_raw: Vec<Vec<Option<f64>>>,
+    ys_dense: Vec<Vec<f64>>,
+    ys_is_dense: Vec<bool>,
+}
+
+impl<'a> FragmentFitter<'a> {
+    pub(crate) fn new(
+        grouped: &'a Relation,
+        v_cols: &'a [usize],
+        candidates: &'a [SplitCandidate],
+        thresholds: &'a Thresholds,
+    ) -> Self {
+        let mut distinct_cols: Vec<usize> = Vec::new();
+        let col_slot: Vec<usize> = candidates
+            .iter()
+            .map(|c| {
+                distinct_cols.iter().position(|&d| d == c.agg_col).unwrap_or_else(|| {
+                    distinct_cols.push(c.agg_col);
+                    distinct_cols.len() - 1
+                })
+            })
+            .collect();
+        let n_cols = distinct_cols.len();
+        FragmentFitter {
+            grouped,
+            v_cols,
+            candidates,
+            thresholds,
+            needs_numeric_x: candidates.iter().any(|c| c.model.requires_numeric_predictors()),
+            distinct_cols,
+            col_slot,
+            xs_rows: Vec::new(),
+            xs_flat: Vec::new(),
+            x_missing: Vec::new(),
+            ys_raw: vec![Vec::new(); n_cols],
+            ys_dense: vec![Vec::new(); n_cols],
+            ys_is_dense: vec![false; n_cols],
+        }
+    }
+
+    /// Fit every candidate over one fragment — the grouped rows `block`,
+    /// whose count is the fragment's support — and hand each local
+    /// pattern that holds to `hold` with its candidate's index. Returns
+    /// the number of candidates with at least δ usable points (the fits
+    /// attempted).
+    pub(crate) fn fit(
+        &mut self,
+        block: &[usize],
+        mut hold: impl FnMut(usize, LocalPattern),
+    ) -> u64 {
+        let th = self.thresholds;
+        let mut fitted_count = 0u64;
 
         // Pre-extract predictor rows once per block; nulls become 0.0 and
         // are flagged so models needing numeric predictors can drop the
         // row.
         let mut n_x_missing = 0usize;
-        if needs_numeric_x {
-            gather_xs(grouped, v_cols, &perm[start..end], &mut xs_rows, &mut x_missing);
-            n_x_missing = x_missing.iter().filter(|&&m| m).count();
+        if self.needs_numeric_x {
+            gather_xs(self.grouped, self.v_cols, block, &mut self.xs_rows, &mut self.x_missing);
+            n_x_missing = self.x_missing.iter().filter(|&&m| m).count();
             // Flat predictor slab for the batched single-predictor OLS
             // kernel (row-major `xs_rows` stays the fallback shape).
-            if v_cols.len() == 1 {
-                xs_flat.clear();
-                xs_flat.extend(xs_rows.iter().map(|r| r[0]));
+            if self.v_cols.len() == 1 {
+                self.xs_flat.clear();
+                self.xs_flat.extend(self.xs_rows.iter().map(|r| r[0]));
             }
         }
 
         // Pre-extract each distinct aggregate column once per block,
         // keeping the null-free dense form so the common case fits
         // straight from the shared buffers with no per-candidate copies.
-        for (j, &col) in distinct_cols.iter().enumerate() {
-            let raw = &mut ys_raw[j];
-            let dense = &mut ys_dense[j];
+        for (j, &col) in self.distinct_cols.iter().enumerate() {
+            let raw = &mut self.ys_raw[j];
+            let dense = &mut self.ys_dense[j];
             raw.clear();
             dense.clear();
-            ys_is_dense[j] = gather_ys(grouped, col, &perm[start..end], raw, dense);
+            self.ys_is_dense[j] = gather_ys(self.grouped, col, block, raw, dense);
         }
 
-        for ((cand, &slot), partial) in candidates.iter().zip(&col_slot).zip(&mut partials) {
+        for (ci, (cand, &slot)) in self.candidates.iter().zip(&self.col_slot).enumerate() {
             let lin = cand.model.requires_numeric_predictors();
+            let dense = self.ys_is_dense[slot] && (!lin || n_x_missing == 0);
             let mut xs_owned: Vec<Vec<f64>> = Vec::new();
             let mut ys_owned: Vec<f64> = Vec::new();
             // Dense fast path: no nulls anywhere — fit directly from the
             // shared block buffers. `xs_rows` is empty for models that
             // ignore predictors (their `predict` never reads `x`).
-            let (xs, ys): (&[Vec<f64>], &[f64]) = if ys_is_dense[slot] && (!lin || n_x_missing == 0)
-            {
-                (&xs_rows, &ys_dense[slot])
+            let (xs, ys): (&[Vec<f64>], &[f64]) = if dense {
+                (&self.xs_rows, &self.ys_dense[slot])
             } else {
-                for (i, y_opt) in ys_raw[slot].iter().enumerate() {
+                for (i, y_opt) in self.ys_raw[slot].iter().enumerate() {
                     let Some(y) = y_opt else { continue };
-                    if lin && x_missing[i] {
+                    if lin && self.x_missing[i] {
                         continue; // missing numeric predictor: drop row
                     }
                     if lin {
-                        xs_owned.push(xs_rows[i].clone());
+                        xs_owned.push(self.xs_rows[i].clone());
                     }
                     ys_owned.push(*y);
                 }
                 (&xs_owned, &ys_owned)
             };
-            if ys.len() < thresholds.delta {
+            if ys.len() < th.delta {
                 continue; // nulls reduced the usable evidence below δ
             }
-            fragments_fitted += 1;
+            fitted_count += 1;
             // Const and single-predictor Lin fits run the chunked slab
-            // kernels over the flat buffers. A GoF inside the θ knife-edge
-            // band (or a kernel error) falls back to the exact kernel so
-            // hold decisions match NAIVE's exact `fit`.
-            let dense = ys_is_dense[slot] && (!lin || n_x_missing == 0);
+            // kernels over the flat buffers; a kernel error falls back to
+            // the exact kernel.
             let batched = match cand.model {
                 ModelType::Const => Some(fit_constant_batch(ys)),
-                ModelType::Lin if lin && v_cols.len() == 1 && dense => {
-                    Some(fit_linear1_batch(&xs_flat, ys))
+                ModelType::Lin if lin && self.v_cols.len() == 1 && dense => {
+                    Some(fit_linear1_batch(&self.xs_flat, ys))
                 }
                 _ => None,
             };
             let fitted = match batched {
-                Some(Ok(f)) if (f.gof - thresholds.theta).abs() >= GOF_EDGE => Ok(f),
-                Some(_) => fit(cand.model, xs, ys),
-                None => fit(cand.model, xs, ys),
+                Some(Ok(f)) => Ok(f),
+                _ => fit(cand.model, xs, ys),
             };
-            let Ok(fitted) = fitted else { continue };
-            if fitted.gof < thresholds.theta {
+            let Ok(fitted) = fitted.and_then(|f| settle_in_band(cand.model, xs, ys, f, th.theta))
+            else {
+                continue;
+            };
+            if fitted.gof < th.theta {
                 continue;
             }
             // Holds locally: record per-tuple deviation extremes for the
@@ -203,32 +280,50 @@ pub fn fit_split(
                 max_pos = max_pos.max(dev);
                 max_neg = max_neg.min(dev);
             }
-            partial.locals.insert(
-                f_key.clone(),
-                LocalPattern { fitted, support, max_pos_dev: max_pos, max_neg_dev: max_neg },
+            hold(
+                ci,
+                LocalPattern {
+                    fitted,
+                    support: block.len(),
+                    max_pos_dev: max_pos,
+                    max_neg_dev: max_neg,
+                },
             );
         }
+        fitted_count
     }
+}
 
-    let out: Vec<Option<FitOutcome>> = partials
-        .into_iter()
-        .map(|p| {
-            if num_supported == 0 {
-                return None;
-            }
-            let good = p.locals.len();
-            let confidence = good as f64 / num_supported as f64;
-            if good >= thresholds.global_support && confidence >= thresholds.lambda {
-                patterns_found += 1;
-                Some(FitOutcome { locals: p.locals, confidence, num_supported })
-            } else {
-                None
-            }
-        })
-        .collect();
-    cape_obs::counter_add("mining.fragments_fitted", fragments_fitted);
-    cape_obs::counter_add("mining.patterns_found", patterns_found);
-    out
+/// Settle a fit whose GoF lands within [`GOF_EDGE`] of θ: redo it with
+/// the exact `fit` over the points in one canonical order — sorted by
+/// `x`, then `y` (`f64::total_cmp`), or by `y` alone for models that
+/// ignore `x`. Every path then computes the same number from the same
+/// ordered points, so the hold decision depends only on the fragment's
+/// points, not on the order a path gathered them in. Fits outside the
+/// band pass through unchanged; only in-band fits sort.
+pub(crate) fn settle_in_band(
+    model: ModelType,
+    xs: &[Vec<f64>],
+    ys: &[f64],
+    fitted: Fitted,
+    theta: f64,
+) -> Result<Fitted, RegressError> {
+    if (fitted.gof - theta).abs() >= GOF_EDGE {
+        return Ok(fitted);
+    }
+    if !model.requires_numeric_predictors() {
+        let mut ys = ys.to_vec();
+        ys.sort_by(f64::total_cmp);
+        return fit(model, &[], &ys);
+    }
+    let mut order: Vec<usize> = (0..ys.len()).collect();
+    order.sort_by(|&a, &b| {
+        let by_x = xs[a].iter().zip(&xs[b]).map(|(p, q)| p.total_cmp(q)).find(|o| o.is_ne());
+        by_x.unwrap_or(Ordering::Equal).then(ys[a].total_cmp(&ys[b]))
+    });
+    let xs: Vec<Vec<f64>> = order.iter().map(|&i| xs[i].clone()).collect();
+    let ys: Vec<f64> = order.iter().map(|&i| ys[i]).collect();
+    fit(model, &xs, &ys)
 }
 
 /// Gather the aggregate column `col` through the permutation block into

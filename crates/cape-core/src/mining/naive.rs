@@ -6,7 +6,7 @@ use crate::config::MiningConfig;
 use crate::error::Result;
 use crate::group_data::GroupData;
 use crate::mining::candidates::{group_sets, model_valid_for, splits_of};
-use crate::mining::fit::FitOutcome;
+use crate::mining::fit::{settle_in_band, FitOutcome};
 use crate::mining::{make_instance, record_mining_run, validate_config, Miner, MiningOutput};
 use crate::pattern::Arp;
 use crate::store::PatternStore;
@@ -142,7 +142,11 @@ fn naive_pattern_holds(
         }
 
         cape_obs::counter_add("mining.fragments_fitted", 1);
-        let Ok(fitted) = fit(model, &xs, &ys) else { continue };
+        // The batch miners settle a knife-edge GoF the same way, so the
+        // hold decision does not depend on the order of this query's rows.
+        let fitted =
+            fit(model, &xs, &ys).and_then(|f| settle_in_band(model, &xs, &ys, f, th.theta));
+        let Ok(fitted) = fitted else { continue };
         if fitted.gof < th.theta {
             continue;
         }

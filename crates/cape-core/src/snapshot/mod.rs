@@ -73,7 +73,7 @@ use codec::{ByteReader, ByteWriter, WireError};
 use std::collections::HashMap;
 use std::io::Write;
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Leading file magic: identifies a CAPE snapshot.
@@ -777,27 +777,31 @@ pub fn save_snapshot(
 fn save(path: &Path, encode: impl FnOnce() -> Vec<u8>) -> Result<u64, SnapshotError> {
     let t0 = std::time::Instant::now();
     let bytes = encode();
-    write_atomic(path, &bytes)?;
+    write_atomic(path, &bytes).map_err(|e| SnapshotError::Io(e.to_string()))?;
     cape_obs::observe_ns("store.save_ns", t0.elapsed().as_nanos() as u64);
     cape_obs::counter_add("store.bytes", bytes.len() as u64);
     Ok(bytes.len() as u64)
 }
 
 /// Durably publish `bytes` at `path`: write to a sibling temp file,
-/// `fsync`, atomically rename, `fsync` the directory.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+/// `fsync`, atomically rename, `fsync` the directory. The one writer
+/// behind snapshots and the WAL's header and compaction rewrites.
+///
+/// The temp file is `<file name>.tmp.<pid>`. It is a function of the
+/// whole target name, so two writers publishing different files — a
+/// snapshot and the `.wal` beside it — never share a temp file.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = temp_path(path);
     {
-        let mut f = std::fs::File::create(&tmp).map_err(io)?;
-        f.write_all(bytes).map_err(io)?;
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
         // Data must be on disk *before* the rename publishes the file;
         // the commit-marker footer catches the case where it was not.
-        f.sync_all().map_err(io)?;
+        f.sync_all()?;
     }
     if let Err(e) = std::fs::rename(&tmp, path) {
         let _ = std::fs::remove_file(&tmp);
-        return Err(io(e));
+        return Err(e);
     }
     // Persist the rename itself (directory entry). Best effort: some
     // filesystems reject directory fsync; the rename is still atomic.
@@ -808,6 +812,13 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
         }
     }
     Ok(())
+}
+
+/// The sibling temp file [`write_atomic`] writes before the rename.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(format!(".tmp.{}", std::process::id()));
+    PathBuf::from(name)
 }
 
 #[cfg(test)]
@@ -843,6 +854,18 @@ mod tests {
         };
         let store = ShareGrpMiner.mine(&rel, &cfg).unwrap().store;
         (rel, cfg, store)
+    }
+
+    /// The snapshot and the WAL beside it are published through one
+    /// writer; their temp files must differ and stay in the target's
+    /// directory, where the rename is atomic.
+    #[test]
+    fn snapshot_and_wal_temp_files_never_collide() {
+        let store = Path::new("dir/s.cape");
+        let wal = crate::incr::wal_path_for(store);
+        assert_ne!(temp_path(store), temp_path(&wal));
+        assert_eq!(temp_path(store).parent(), store.parent());
+        assert_eq!(temp_path(&wal).parent(), store.parent());
     }
 
     #[test]

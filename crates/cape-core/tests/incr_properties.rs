@@ -1,139 +1,230 @@
-//! Property tests of the incremental sufficient statistics: after any
-//! interleaving of adds and removes — NULL-heavy streams, NaN poison,
-//! single-observation deltas — the running fit must match a from-scratch
-//! batch fit of the surviving observations to 1e-9 (or agree that no fit
-//! exists).
+//! Property tests of `IncrStore`'s refit: after every append — single-row
+//! and bulk batches cut from random small relations whose measures hold
+//! NULLs, NaN, −0.0 and repeated values — the maintained store must equal
+//! a SHARE-GRP mine of the same rows: the same ARPs in the same order,
+//! the same supports and confidences, and every local's fit, goodness of
+//! fit and deviation bounds to 1e-9.
 
-use cape_core::incr::stats::{ConstStats, LinStats};
-use cape_regress::{fit, Fitted, ModelType};
+use cape_core::config::AggSelection;
+use cape_core::mining::{Miner, ShareGrpMiner};
+use cape_core::store::PatternStore;
+use cape_core::{Arp, IncrStore, LocalPattern, MiningConfig, Thresholds};
+use cape_data::{AggFunc, Relation, Schema, Value, ValueType};
+use cape_regress::{Model, ModelType};
 use proptest::prelude::*;
 
-/// NULL-heavy observation strategy: ~30% NULL, ~10% NaN, rest finite.
-fn arb_y() -> impl Strategy<Value = Option<f64>> {
-    (0u8..10, -100.0f64..100.0).prop_map(|(kind, v)| match kind {
-        0..=2 => None,
-        3 => Some(f64::NAN),
-        _ => Some(v),
+const TOL: f64 = 1e-9;
+
+/// Column ids of the fixture schema.
+const K: usize = 0;
+const X: usize = 1;
+const M: usize = 2;
+const F: usize = 3;
+
+fn schema() -> Schema {
+    Schema::new([
+        ("k", ValueType::Str),
+        ("x", ValueType::Int),
+        ("m", ValueType::Int),
+        ("f", ValueType::Float),
+    ])
+    .unwrap()
+}
+
+/// Sum/min/max over both measures, Lin over the Int key `x`, and
+/// thresholds low enough that small relations hold patterns.
+fn cfg() -> MiningConfig {
+    MiningConfig {
+        thresholds: Thresholds::new(0.3, 2, 0.3, 1),
+        psi: 2,
+        aggs: AggSelection::AllNumeric,
+        ..MiningConfig::default()
+    }
+}
+
+fn row(k: &str, x: i64, m: Option<i64>, f: Option<f64>) -> Vec<Value> {
+    vec![
+        Value::str(k),
+        Value::Int(x),
+        m.map_or(Value::Null, Value::Int),
+        f.map_or(Value::Null, Value::Float),
+    ]
+}
+
+/// Int measure: ~25% NULL, else a small value (so repeats are common).
+fn arb_m() -> impl Strategy<Value = Option<i64>> {
+    (0u8..4, -3i64..6).prop_map(|(kind, v)| if kind == 0 { None } else { Some(v) })
+}
+
+/// Float measure: NULL, NaN, −0.0, or one of a few exactly representable
+/// values, so sums of equal values stay exact and repeats are common.
+fn arb_f() -> impl Strategy<Value = Option<f64>> {
+    (0u8..12, 0usize..5).prop_map(|(kind, i)| match kind {
+        0 | 1 => None,
+        2 => Some(f64::NAN),
+        3 => Some(-0.0),
+        _ => Some([0.0, 0.5, 1.25, 2.0, -3.5][i]),
     })
 }
 
-fn arb_bool() -> impl Strategy<Value = bool> {
-    (0u8..2).prop_map(|b| b == 1)
+fn arb_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    let r = (0u8..3, 0i64..4, arb_m(), arb_f());
+    collection::vec(r, 1..36).prop_map(|rows| {
+        rows.into_iter().map(|(k, x, m, f)| row(["a", "b", "c"][k as usize], x, m, f)).collect()
+    })
 }
 
-fn batch_const(ys: &[f64]) -> Option<Fitted> {
-    if ys.is_empty() {
-        return None;
-    }
-    fit(ModelType::Const, &[], ys).ok()
-}
-
-fn batch_lin(xs: &[f64], ys: &[f64]) -> Option<Fitted> {
-    if ys.is_empty() {
-        return None;
-    }
-    let rows: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
-    fit(ModelType::Lin, &rows, ys).ok()
-}
-
-fn assert_fits_agree(incr: Option<&Fitted>, batch: Option<&Fitted>, ctx: &str) {
-    match (incr, batch) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            assert_eq!(a.n, b.n, "n differs ({ctx})");
-            assert!((a.gof - b.gof).abs() < 1e-9, "gof {} vs {} ({ctx})", a.gof, b.gof);
-            let pa = a.model.predict(&[1.75]);
-            let pb = b.model.predict(&[1.75]);
-            assert!((pa - pb).abs() < 1e-9, "prediction {pa} vs {pb} ({ctx})");
+fn params(m: &Model) -> Vec<f64> {
+    match m {
+        Model::Constant { beta } => vec![*beta],
+        Model::Linear { intercept, coefs } => {
+            std::iter::once(*intercept).chain(coefs.clone()).collect()
         }
-        (a, b) => {
-            panic!("one side fits, the other does not ({ctx}): {a:?} vs {b:?}");
+        Model::Quadratic { intercept, lin, quad } => {
+            std::iter::once(*intercept).chain(lin.clone()).chain(quad.clone()).collect()
         }
     }
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= TOL
+}
+
+/// The maintained store equals the mined one: ARP order, global
+/// bookkeeping, and every local pattern to 1e-9.
+fn assert_same_store(incr: &PatternStore, mined: &PatternStore, ctx: &str) {
+    let arps = |s: &PatternStore| s.iter().map(|(_, p)| p.arp.clone()).collect::<Vec<_>>();
+    assert_eq!(arps(incr), arps(mined), "{ctx}: ARP sequences differ");
+    for ((_, a), (_, b)) in incr.iter().zip(mined.iter()) {
+        let ctx = format!("{ctx}/{:?}", a.arp);
+        assert_eq!(a.num_supported, b.num_supported, "{ctx}: num_supported");
+        assert!(close(a.confidence, b.confidence), "{ctx}: confidence");
+        assert_eq!(a.locals.len(), b.locals.len(), "{ctx}: local count");
+        for (key, la) in &a.locals {
+            let lb = b.locals.get(key).unwrap_or_else(|| panic!("{ctx}: missing local {key:?}"));
+            assert_eq!(la.support, lb.support, "{ctx}/{key:?}: support");
+            assert_eq!(la.fitted.n, lb.fitted.n, "{ctx}/{key:?}: n");
+            assert!(close(la.fitted.gof, lb.fitted.gof), "{ctx}/{key:?}: gof");
+            assert!(close(la.max_pos_dev, lb.max_pos_dev), "{ctx}/{key:?}: max_pos_dev");
+            assert!(close(la.max_neg_dev, lb.max_neg_dev), "{ctx}/{key:?}: max_neg_dev");
+            let (pa, pb) = (params(&la.fitted.model), params(&lb.fitted.model));
+            assert_eq!(pa.len(), pb.len(), "{ctx}/{key:?}: model arity");
+            assert!(
+                pa.iter().zip(&pb).all(|(p, q)| close(*p, *q)),
+                "{ctx}/{key:?}: {pa:?} vs {pb:?}"
+            );
+        }
+    }
+}
+
+/// Build over `rows[..cut]`, append the rest in batches of `sizes`
+/// (cycled), and compare against a mine of the rows so far after the
+/// build and after every append. Returns the maintained store after
+/// each step.
+fn check_appends(rows: &[Vec<Value>], cut: usize, sizes: &[usize]) -> Vec<PatternStore> {
+    let cfg = cfg();
+    let mine = |n: usize| {
+        let rel = Relation::from_rows(schema(), rows[..n].iter().cloned()).unwrap();
+        ShareGrpMiner.mine(&rel, &cfg).unwrap().store
+    };
+    let base = Relation::from_rows(schema(), rows[..cut].iter().cloned()).unwrap();
+    let mut incr = IncrStore::build(base, cfg.clone()).unwrap();
+    assert_same_store(&incr.store(), &mine(cut), "build");
+    let mut stores = vec![(*incr.store()).clone()];
+    let mut at = cut;
+    for &size in sizes.iter().cycle() {
+        if at == rows.len() {
+            break;
+        }
+        let end = (at + size).min(rows.len());
+        incr.append(rows[at..end].to_vec()).unwrap();
+        at = end;
+        assert_same_store(&incr.store(), &mine(at), &format!("append up to row {at}"));
+        stores.push((*incr.store()).clone());
+    }
+    stores
+}
+
+/// The local of the `[k] : x ~model~> agg(attr)` instance on fragment
+/// `k = key`, if the instance holds and the fragment holds in it.
+fn local(
+    store: &PatternStore,
+    agg: AggFunc,
+    agg_attr: Option<usize>,
+    model: ModelType,
+    key: &str,
+) -> Option<LocalPattern> {
+    let arp = Arp::new([K], [X], agg, agg_attr, model);
+    let (_, p) = store.iter().find(|(_, p)| p.arp == arp)?;
+    p.locals.get(&vec![Value::str(key)]).cloned()
 }
 
 proptest! {
     #[test]
-    fn const_stats_match_batch_after_adds_and_removes(
-        ops in collection::vec((arb_y(), arb_bool()), 0..60),
+    fn appends_match_a_mine_of_the_same_rows(
+        rows in arb_rows(),
+        cut in 0usize..36,
+        sizes in collection::vec(1usize..6, 1..4),
     ) {
-        let mut st = ConstStats::new();
-        for (y, _) in &ops {
-            st.add(*y);
-        }
-        // Remove the non-kept observations (models a grouped row whose
-        // aggregate output moved: old value out, new value in).
-        for (y, keep) in &ops {
-            if !keep {
-                st.remove(*y);
-            }
-        }
-        // Batch reference over the surviving observations: NULLs are not
-        // observations; a surviving NaN makes the batch fit error out.
-        let ys: Vec<f64> =
-            ops.iter().filter(|(_, keep)| *keep).filter_map(|(y, _)| *y).collect();
-        assert_fits_agree(st.fit().as_ref(), batch_const(&ys).as_ref(), "const");
+        let cut = cut.min(rows.len());
+        check_appends(&rows, cut, &sizes);
     }
+}
 
-    #[test]
-    fn const_stats_match_batch_under_single_row_deltas(
-        ys in collection::vec(arb_y(), 1..40),
-    ) {
-        // Feed one observation at a time; after every step the running
-        // fit must equal a batch fit of the prefix.
-        let mut st = ConstStats::new();
-        let mut seen: Vec<f64> = Vec::new();
-        for y in &ys {
-            st.add(*y);
-            if let Some(v) = y {
-                seen.push(*v);
-            }
-            assert_fits_agree(st.fit().as_ref(), batch_const(&seen).as_ref(), "const prefix");
-        }
+/// A group whose measure was NULL gains a value: its min goes from NULL
+/// to a number, and the fragment gains a usable point.
+#[test]
+fn null_aggregate_gains_a_value() {
+    let mut rows = Vec::new();
+    for x in 0..4 {
+        rows.push(row("a", x, if x == 2 { None } else { Some(x + 1) }, Some(1.25)));
+        rows.push(row("b", x, Some(2 * x), Some(0.5)));
     }
+    rows.push(row("a", 2, Some(3), Some(1.25)));
+    let stores = check_appends(&rows, rows.len() - 1, &[1]);
+    let n =
+        |s: &PatternStore| local(s, AggFunc::Min, Some(M), ModelType::Lin, "a").map(|l| l.fitted.n);
+    assert_eq!(n(&stores[0]), Some(3));
+    assert_eq!(n(&stores[1]), Some(4));
+}
 
-    #[test]
-    fn lin_stats_match_batch_after_adds_and_removes(
-        ops in collection::vec((arb_y(), arb_y(), arb_bool()), 0..60),
-    ) {
-        let mut st = LinStats::new();
-        for (x, y, _) in &ops {
-            st.add(*x, *y);
-        }
-        for (x, y, keep) in &ops {
-            if !keep {
-                st.remove(*x, *y);
-            }
-        }
-        // A usable pair needs both coordinates non-NULL (the batch path
-        // drops rows with missing predictors for linear models).
-        let mut xs: Vec<f64> = Vec::new();
-        let mut ysv: Vec<f64> = Vec::new();
-        for (x, y, keep) in &ops {
-            if *keep {
-                if let (Some(x), Some(y)) = (x, y) {
-                    xs.push(*x);
-                    ysv.push(*y);
-                }
-            }
-        }
-        assert_fits_agree(st.fit().as_ref(), batch_lin(&xs, &ysv).as_ref(), "lin");
+/// A NaN measure makes its group's sum NaN: the fragment's sum(f) fit
+/// fails, on both paths, while the rest of the store is maintained.
+#[test]
+fn nan_sum_fits_nothing() {
+    let mut rows = Vec::new();
+    for x in 0..4 {
+        rows.push(row("a", x, Some(1), Some(0.5 * x as f64)));
+        rows.push(row("b", x, Some(1), Some(0.5 * x as f64)));
     }
+    rows.push(row("a", 1, Some(1), Some(f64::NAN)));
+    let stores = check_appends(&rows, rows.len() - 1, &[1]);
+    let sum_f = |s: &PatternStore, key| local(s, AggFunc::Sum, Some(F), ModelType::Lin, key);
+    assert!(sum_f(&stores[0], "a").is_some());
+    assert!(sum_f(&stores[1], "a").is_none());
+    assert!(sum_f(&stores[1], "b").is_some());
+}
 
-    #[test]
-    fn lin_stats_match_batch_under_single_row_deltas(
-        pairs in collection::vec((arb_y(), arb_y()), 1..40),
-    ) {
-        let mut st = LinStats::new();
-        let mut xs: Vec<f64> = Vec::new();
-        let mut ysv: Vec<f64> = Vec::new();
-        for (x, y) in &pairs {
-            st.add(*x, *y);
-            if let (Some(x), Some(y)) = (x, y) {
-                xs.push(*x);
-                ysv.push(*y);
-            }
-            assert_fits_agree(st.fit().as_ref(), batch_lin(&xs, &ysv).as_ref(), "lin prefix");
+/// A fragment whose counts differ becomes constant after an append: its
+/// Const and Lin fits become perfect (GoF exactly 1) on both paths.
+#[test]
+fn fragment_values_become_equal() {
+    let mut rows = Vec::new();
+    for x in 0..4 {
+        let copies = if x == 1 { 1 } else { 2 };
+        for _ in 0..copies {
+            rows.push(row("a", x, Some(x), Some(-0.0)));
+        }
+        for _ in 0..3 {
+            rows.push(row("b", x, Some(x), Some(1.25)));
         }
     }
+    rows.push(row("a", 1, Some(1), Some(-0.0)));
+    let stores = check_appends(&rows, rows.len() - 1, &[1]);
+    let gof =
+        |s: &PatternStore, model| local(s, AggFunc::Count, None, model, "a").map(|l| l.fitted.gof);
+    let before = gof(&stores[0], ModelType::Const);
+    assert!(before.is_none_or(|g| g < 1.0), "counts 2,1,2,2 are not constant: {before:?}");
+    assert_eq!(gof(&stores[1], ModelType::Const), Some(1.0));
+    assert_eq!(gof(&stores[1], ModelType::Lin), Some(1.0));
 }

@@ -14,8 +14,8 @@
 //! and the tree-shaped reduction is at least as accurate as the
 //! sequential left fold. Results agree with the exact kernels to well
 //! under `1e-9`; callers that gate a decision on a threshold within that
-//! band should refit with the exact kernel (the mining path does — see
-//! `GOF_EDGE` in `cape-core`).
+//! band should refit with the exact kernel (the mining path does, over
+//! the points in a canonical order — see `cape_core::mining::fit`).
 //!
 //! All statistics are computed *centered* (two or three passes over the
 //! cached slice) rather than via raw-moment algebra, so there is no

@@ -18,14 +18,20 @@
 //! absorbing float summation-order differences between roll-up
 //! derivation, the batched fit kernels, and NAIVE's per-fragment
 //! queries.
+//!
+//! A tolerance cannot absorb a hold decision, so one more input puts a
+//! fragment's GoF within a few ulps of θ and shuffles its rows: every
+//! path must keep the same locals in every order.
 
 use cape::core::config::{AggSelection, MiningConfig, Thresholds};
 use cape::core::mining::candidates::group_sets;
 use cape::core::mining::{ArpMiner, CubeMiner, Miner, NaiveMiner, ParallelMiner, ShareGrpMiner};
-use cape::core::{IncrStore, PatternStore};
-use cape::data::{Relation, Schema, Value, ValueType};
+use cape::core::{Arp, IncrStore, PatternStore};
+use cape::data::{AggFunc, Relation, Schema, Value, ValueType};
 use cape::datagen::{crime, dblp, CrimeConfig, DblpConfig};
-use cape::regress::Model;
+use cape::regress::{fit, Model, ModelType};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
 const TOL: f64 = 1e-9;
@@ -230,6 +236,17 @@ fn assert_equiv(
 /// assert they all agree, and return the number of ARPs NAIVE found.
 fn run_grid(rel: &Relation, cfg: &MiningConfig, dataset: &str) -> usize {
     let reference = canonicalize(&NaiveMiner.mine(rel, cfg).unwrap().store, rel);
+    assert_optimized_paths_match(&reference, rel, cfg, dataset);
+    reference.len()
+}
+
+/// Every optimized miner and `IncrStore::build` produce `reference`.
+fn assert_optimized_paths_match(
+    reference: &[(String, ArpCanon)],
+    rel: &Relation,
+    cfg: &MiningConfig,
+    dataset: &str,
+) {
     let miners: Vec<(&str, Box<dyn Miner>)> = vec![
         ("SHARE-GRP", Box::new(ShareGrpMiner)),
         ("CUBE", Box::new(CubeMiner)),
@@ -239,11 +256,10 @@ fn run_grid(rel: &Relation, cfg: &MiningConfig, dataset: &str) -> usize {
     ];
     for (name, miner) in miners {
         let out = miner.mine(rel, cfg).unwrap();
-        assert_equiv(&reference, &out.store, rel, &format!("{dataset}/{name}"));
+        assert_equiv(reference, &out.store, rel, &format!("{dataset}/{name}"));
     }
     let incr = IncrStore::build(rel.clone(), cfg.clone()).unwrap();
-    assert_equiv(&reference, &incr.store(), rel, &format!("{dataset}/INCR"));
-    reference.len()
+    assert_equiv(reference, &incr.store(), rel, &format!("{dataset}/INCR"));
 }
 
 #[test]
@@ -272,6 +288,92 @@ fn edge_relations_match_naive() {
     assert_eq!(run_grid(&empty, &edge_cfg(), "zero-rows"), 0);
     let n = run_grid(&all_null, &edge_cfg(), "all-null");
     assert!(n > 0, "all-null: no patterns mined — the grid proves nothing");
+}
+
+/// The knife-edge fragment of Crime's `[community, location] : month
+/// ~Lin~> count(*)`: month → count(*). Its R² is 3/20 in exact
+/// arithmetic, and plain `fit` lands a few ulps either side of 0.15
+/// depending on the order it receives the points in.
+const KNIFE_EDGE: [(i64, usize); 9] =
+    [(3, 1), (4, 1), (5, 2), (6, 1), (7, 2), (8, 3), (9, 2), (10, 1), (11, 2)];
+
+/// The knife-edge fragment `k`, plus four fragments whose counts rise
+/// linearly with the month, so `[frag] : month ~Lin~> count(*)` holds
+/// globally whatever `k` decides.
+fn knife_edge_rows() -> Vec<Vec<Value>> {
+    let mut rows = Vec::new();
+    for (month, count) in KNIFE_EDGE {
+        for _ in 0..count {
+            rows.push(vec![Value::str("k"), Value::Int(month)]);
+        }
+    }
+    for c in 0..4 {
+        for month in 3..12i64 {
+            for _ in 0..month - 2 {
+                rows.push(vec![Value::str(format!("c{c}")), Value::Int(month)]);
+            }
+        }
+    }
+    rows
+}
+
+/// R² of plain `fit` over the knife-edge points in the order their
+/// months first appear in `rows` — the order a per-fragment retrieval
+/// query groups them in.
+fn first_appearance_r2(rows: &[Vec<Value>]) -> f64 {
+    let mut months: Vec<i64> = Vec::new();
+    for r in rows.iter().filter(|r| r[0] == Value::str("k")) {
+        let Value::Int(m) = r[1] else { unreachable!("month is an Int") };
+        if !months.contains(&m) {
+            months.push(m);
+        }
+    }
+    let count = |m: i64| KNIFE_EDGE.iter().find(|(month, _)| *month == m).unwrap().1 as f64;
+    let xs: Vec<Vec<f64>> = months.iter().map(|&m| vec![m as f64]).collect();
+    let ys: Vec<f64> = months.iter().map(|&m| count(m)).collect();
+    fit(ModelType::Lin, &xs, &ys).unwrap().gof
+}
+
+/// A GoF within a few ulps of θ is decided the same way by every path,
+/// in every row order: NAIVE, the batch miners, `IncrStore::build`, and
+/// an `IncrStore` fed the rows as a base plus appends all keep the same
+/// locals as NAIVE over the first order.
+#[test]
+fn knife_edge_fit_is_decided_alike_in_every_order() {
+    let schema = Schema::new([("frag", ValueType::Str), ("month", ValueType::Int)]).unwrap();
+    let cfg = MiningConfig {
+        thresholds: Thresholds::new(0.15, 4, 0.3, 2),
+        psi: 2,
+        ..MiningConfig::default()
+    };
+    let arp = Arp::new([0], [1], AggFunc::Count, None, ModelType::Lin);
+    let mut reference = None;
+    let mut plain_fit_holds = 0;
+    for seed in 0..24u64 {
+        let mut rows = knife_edge_rows();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for i in (1..rows.len()).rev() {
+            rows.swap(i, rng.gen_range(0..=i));
+        }
+        if first_appearance_r2(&rows) >= cfg.thresholds.theta {
+            plain_fit_holds += 1;
+        }
+        let rel = Relation::from_rows(schema.clone(), rows.clone()).unwrap();
+        let label = format!("knife-edge/seed {seed}");
+        let naive = NaiveMiner.mine(&rel, &cfg).unwrap().store;
+        assert!(naive.iter().any(|(_, p)| p.arp == arp), "{label}: the Lin pattern must hold");
+        let reference = reference.get_or_insert_with(|| canonicalize(&naive, &rel));
+        assert_equiv(reference, &naive, &rel, &format!("{label}/NAIVE"));
+        assert_optimized_paths_match(reference, &rel, &cfg, &label);
+
+        let cut = rows.len() / 2;
+        let base = Relation::from_rows(schema.clone(), rows[..cut].to_vec()).unwrap();
+        let mut incr = IncrStore::build(base, cfg.clone()).unwrap();
+        incr.append(rows[cut..cut + 1].to_vec()).unwrap();
+        incr.append(rows[cut + 1..].to_vec()).unwrap();
+        assert_equiv(reference, &incr.store(), &rel, &format!("{label}/INCR-APPEND"));
+    }
+    assert!(plain_fit_holds > 0, "no tested order puts plain fit on the holding side of θ");
 }
 
 /// The kernels must actually fire on this workload — otherwise the
