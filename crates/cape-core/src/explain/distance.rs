@@ -9,7 +9,7 @@
 //! e.g. adjacent community areas). Attributes present in only one of the
 //! two schemas contribute the maximal distance 1.
 
-use cape_data::stats::attr_stats;
+use cape_data::stats::attr_range;
 use cape_data::{AttrId, Relation, Value};
 use std::collections::HashMap;
 
@@ -76,10 +76,8 @@ impl DistanceModel {
             .map(|a| {
                 let ty = rel.schema().attr(a).expect("valid id").value_type();
                 if ty.is_numeric() {
-                    let scale = attr_stats(rel, a)
-                        .ok()
-                        .and_then(|s| s.range())
-                        .map_or(1.0, |r| (r / 4.0).max(1.0));
+                    let scale =
+                        attr_range(rel, a).ok().flatten().map_or(1.0, |r| (r / 4.0).max(1.0));
                     AttrDistanceFn::NumericScaled { scale }
                 } else {
                     AttrDistanceFn::Exact

@@ -296,13 +296,13 @@ mod tests {
         let arp = Arp::new(f, v, AggFunc::Count, None, ModelType::Const);
         let mut locals = HashMap::new();
         locals.insert(
-            vec![Value::str("ax")],
-            LocalPattern {
+            vec![Value::str("ax")].into(),
+            Arc::new(LocalPattern {
                 fitted: Fitted { model: Model::Constant { beta: 1.0 }, gof: 0.9, n: 2 },
                 support: 2,
                 max_pos_dev: 0.5,
                 max_neg_dev: -0.5,
-            },
+            }),
         );
         let mut inst = PatternInstance {
             arp,

@@ -5,11 +5,11 @@
 //! the fragments whose membership or aggregate outputs actually changed
 //! — with the batch miners' own per-fragment fitter, over the fragment's
 //! grouped rows — and re-derives the global holds from the updated local
-//! counts. Untouched fragments keep their local patterns bit-for-bit; the
-//! regenerated [`PatternStore`] lists instances in the exact order the
-//! batch miners produce (group sets in lattice order × `(F, V)` splits ×
-//! candidates), so an incremental store is interchangeable with a
-//! re-mined one.
+//! counts. Untouched fragments share their local patterns between
+//! epochs; the regenerated [`PatternStore`] lists instances in the exact
+//! order the batch miners produce (group sets in lattice order × `(F, V)`
+//! splits × candidates), so an incremental store is interchangeable with
+//! a re-mined one.
 //!
 //! Durability is a hot/durable tier split: the base relation's snapshot
 //! (either version) plus a write-ahead log of append deltas beside it
@@ -35,7 +35,7 @@ use crate::snapshot::{
     load_snapshot_config, save_snapshot, save_snapshot_v2, schema_fingerprint, SnapshotError,
     FORMAT_VERSION, FORMAT_VERSION_V2,
 };
-use crate::store::{LocalPattern, PatternStore};
+use crate::store::{FragKey, Locals, PatternStore};
 use cape_data::agg::Accumulator;
 use cape_data::ops::grouped_output_schema;
 use cape_data::{AggFunc, AggSpec, AttrId, Relation, Schema, Value, ValueType};
@@ -147,22 +147,27 @@ struct Durability {
     wal_size: u64,
 }
 
-/// One fragment (`t[F] = f`) of one split: its member grouped rows, in
-/// ascending order, and its current local pattern per candidate.
+/// One fragment (`t[F] = f`) of one split: its key and its member
+/// grouped rows, in ascending order.
 struct FragState {
-    key: Vec<Value>,
+    key: FragKey,
     slots: Vec<usize>,
-    locals: Vec<Option<LocalPattern>>,
 }
 
-/// One `(F, V)` split of a group set: its candidates and fragment states.
+/// One `(F, V)` split of a group set: its candidates, fragment states and
+/// live local patterns.
 struct SplitState {
     split: Split,
     f_cols: Vec<usize>,
     v_cols: Vec<usize>,
     candidates: Vec<SplitCandidate>,
-    frag_index: HashMap<Vec<Value>, usize>,
+    frag_index: HashMap<FragKey, usize>,
     frags: Vec<FragState>,
+    /// `locals[ci]`: candidate `ci`'s local patterns, one entry per
+    /// fragment where it holds. A refit replaces the entries of the
+    /// fragments it touched; an epoch clones the maps of the candidates
+    /// that hold globally, so it shares every untouched entry.
+    locals: Vec<Locals>,
     /// Fragments with support ≥ δ (the batch path's `|frag_supp|`).
     supported: usize,
 }
@@ -205,6 +210,7 @@ impl GroupState {
                 split,
                 f_cols,
                 v_cols,
+                locals: vec![Locals::new(); candidates.len()],
                 candidates,
                 frag_index: HashMap::new(),
                 frags: Vec::new(),
@@ -290,16 +296,13 @@ impl GroupState {
             let mut touched_frags: HashSet<usize> = HashSet::new();
             for &slot in &touched {
                 let f_key = grouped.row_project(slot, &sp.f_cols);
-                let fi = match sp.frag_index.get(&f_key) {
+                let fi = match sp.frag_index.get(f_key.as_slice()) {
                     Some(&fi) => fi,
                     None => {
                         let fi = sp.frags.len();
-                        sp.frags.push(FragState {
-                            key: f_key.clone(),
-                            slots: Vec::new(),
-                            locals: vec![None; sp.candidates.len()],
-                        });
-                        sp.frag_index.insert(f_key, fi);
+                        let key: FragKey = f_key.into();
+                        sp.frags.push(FragState { key: Arc::clone(&key), slots: Vec::new() });
+                        sp.frag_index.insert(key, fi);
                         fi
                     }
                 };
@@ -314,13 +317,19 @@ impl GroupState {
                 touched_frags.insert(fi);
             }
 
+            // A refit replaces a touched fragment's entries and leaves
+            // every other entry, and the epochs that share it, alone.
             let mut fitter = FragmentFitter::new(grouped, &sp.v_cols, &sp.candidates, thresholds);
+            let locals = &mut sp.locals;
             for &fi in &touched_frags {
-                let frag = &mut sp.frags[fi];
-                frag.locals.fill(None);
+                let frag = &sp.frags[fi];
+                for cand_locals in locals.iter_mut() {
+                    cand_locals.remove(&frag.key);
+                }
                 if frag.slots.len() >= delta {
-                    let locals = &mut frag.locals;
-                    fitter.fit(&frag.slots, |ci, local| locals[ci] = Some(local));
+                    fitter.fit(&frag.slots, |ci, local| {
+                        locals[ci].insert(Arc::clone(&frag.key), Arc::new(local));
+                    });
                 }
             }
             touched_frags_total += touched_frags.len();
@@ -619,10 +628,11 @@ impl IncrStore {
         Ok(touched)
     }
 
-    /// Derive the pattern store from the live fragment states, in the
+    /// Derive the pattern store from the live local patterns, in the
     /// exact order the batch miners emit instances: group sets in lattice
     /// order, `(F, V)` splits in enumeration order, candidates in
-    /// `build_candidates` order.
+    /// `build_candidates` order. Each holding candidate's instance gets a
+    /// clone of its live map: pointers are copied, patterns are not.
     fn regenerate(&self) -> PatternStore {
         let th = &self.cfg.thresholds;
         let mut store = PatternStore::new();
@@ -637,16 +647,7 @@ impl IncrStore {
                 if sp.supported == 0 {
                     continue;
                 }
-                for (ci, cand) in sp.candidates.iter().enumerate() {
-                    let mut locals: HashMap<Vec<Value>, LocalPattern> = HashMap::new();
-                    for frag in &sp.frags {
-                        if frag.slots.len() < th.delta {
-                            continue;
-                        }
-                        if let Some(local) = &frag.locals[ci] {
-                            locals.insert(frag.key.clone(), local.clone());
-                        }
-                    }
+                for (cand, locals) in sp.candidates.iter().zip(&sp.locals) {
                     let good = locals.len();
                     let confidence = good as f64 / sp.supported as f64;
                     if good >= th.global_support && confidence >= th.lambda {
@@ -657,12 +658,12 @@ impl IncrStore {
                             cand.agg_attr,
                             cand.model,
                         );
-                        store.push(make_instance(
-                            arp,
-                            Arc::clone(&gd),
-                            cand.agg_col,
-                            FitOutcome { locals, confidence, num_supported: sp.supported },
-                        ));
+                        let outcome = FitOutcome {
+                            locals: locals.clone(),
+                            confidence,
+                            num_supported: sp.supported,
+                        };
+                        store.push(make_instance(arp, Arc::clone(&gd), cand.agg_col, outcome));
                     }
                 }
             }

@@ -8,12 +8,12 @@
 //! but settles knife-edge GoFs with the same `settle_in_band`.
 
 use crate::config::Thresholds;
-use crate::store::LocalPattern;
+use crate::store::{FragKey, LocalPattern, Locals};
 use cape_data::ops::perm_block_starts;
-use cape_data::{AggFunc, AttrId, NumView, Relation, Value};
+use cape_data::{AggFunc, AttrId, NumView, Relation};
 use cape_regress::{fit, fit_constant_batch, fit_linear1_batch, Fitted, ModelType, RegressError};
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The batched kernels, the exact kernel, and every gather order agree
 /// on a fragment's GoF to far below this band, so only a GoF landing
@@ -40,7 +40,7 @@ pub struct SplitCandidate {
 #[derive(Debug, Clone)]
 pub struct FitOutcome {
     /// Local models keyed by fragment value (F values, `f_cols` order).
-    pub locals: HashMap<Vec<Value>, LocalPattern>,
+    pub locals: Locals,
     /// `|frag_good| / |frag_supp|`.
     pub confidence: f64,
     /// `|frag_supp|`.
@@ -82,8 +82,7 @@ pub fn fit_split(
     let mut fragments_fitted = 0u64;
     let mut patterns_found = 0u64;
 
-    let mut locals: Vec<HashMap<Vec<Value>, LocalPattern>> =
-        candidates.iter().map(|_| HashMap::new()).collect();
+    let mut locals: Vec<Locals> = candidates.iter().map(|_| Locals::new()).collect();
     let mut num_supported = 0usize;
     let mut fitter = FragmentFitter::new(grouped, v_cols, candidates, thresholds);
     let starts = perm_block_starts(grouped, perm, f_cols);
@@ -93,9 +92,10 @@ pub fn fit_split(
             continue; // insufficient evidence: excluded from frag_supp
         }
         num_supported += 1;
-        let f_key = grouped.row_project(block[0], f_cols);
+        // One key per fragment, shared by every candidate holding there.
+        let f_key: FragKey = grouped.row_project(block[0], f_cols).into();
         fragments_fitted += fitter.fit(block, |ci, local| {
-            locals[ci].insert(f_key.clone(), local);
+            locals[ci].insert(f_key.clone(), Arc::new(local));
         });
     }
 
@@ -472,7 +472,7 @@ fn gather_xs(
 mod tests {
     use super::*;
     use cape_data::ops::sort_perm;
-    use cape_data::{Schema, ValueType};
+    use cape_data::{Schema, Value, ValueType};
 
     /// Grouped data shaped like γ_{author, year, count(*)}: two authors
     /// with near-constant counts, one wildly varying author.
@@ -531,8 +531,8 @@ mod tests {
         assert_eq!(outcome.num_supported, 3);
         assert_eq!(outcome.locals.len(), 2);
         assert!((outcome.confidence - 2.0 / 3.0).abs() < 1e-12);
-        assert!(outcome.locals.contains_key(&vec![Value::str("stable1")]));
-        assert!(outcome.locals.contains_key(&vec![Value::str("stable2")]));
+        assert!(outcome.locals.contains_key(&[Value::str("stable1")][..]));
+        assert!(outcome.locals.contains_key(&[Value::str("stable2")][..]));
         assert_eq!(telemetry.counter("mining.candidates_considered"), 1);
         assert_eq!(telemetry.counter("mining.fragments_fitted"), 3);
         assert_eq!(telemetry.counter("mining.patterns_found"), 1);
@@ -550,14 +550,14 @@ mod tests {
         }];
         let out = fit_split(&g, &perm, &[0], &[1], &cands, &thresholds());
         let outcome = out[0].as_ref().unwrap();
-        assert_eq!(outcome.locals[&vec![Value::str("stable1")]].support, 6);
+        assert_eq!(outcome.locals[&[Value::str("stable1")][..]].support, 6);
         // Perfect constant fit: GoF 1, zero deviations.
-        let local = &outcome.locals[&vec![Value::str("stable1")]];
+        let local = &outcome.locals[&[Value::str("stable1")][..]];
         assert_eq!(local.fitted.gof, 1.0);
         assert_eq!(local.max_pos_dev, 0.0);
         assert_eq!(local.max_neg_dev, 0.0);
         // stable2 oscillates ±0.5 around 5.5.
-        let local2 = &outcome.locals[&vec![Value::str("stable2")]];
+        let local2 = &outcome.locals[&[Value::str("stable2")][..]];
         assert!((local2.max_pos_dev - 0.5).abs() < 1e-9);
         assert!((local2.max_neg_dev + 0.5).abs() < 1e-9);
     }
@@ -618,6 +618,28 @@ mod tests {
         // stable1 which is exactly constant) — at least stable1 holds; the
         // pattern may or may not hold globally depending on stable2's R².
         assert_eq!(telemetry.counter("mining.candidates_considered"), 2);
+    }
+
+    /// A `sum(float)` fragment of three equal 0.1s, whose computed mean is
+    /// not exactly 0.1, holds Lin with R² = 1, as a constant does.
+    #[test]
+    fn constant_float_fragment_holds_lin() {
+        let schema =
+            Schema::new([("k", ValueType::Str), ("x", ValueType::Int), ("s", ValueType::Float)])
+                .unwrap();
+        let rows = (2000..2003).map(|x| vec![Value::str("a"), Value::Int(x), Value::Float(0.1)]);
+        let g = Relation::from_rows(schema, rows).unwrap();
+        let cands = [SplitCandidate {
+            agg: AggFunc::Sum,
+            agg_attr: Some(2),
+            agg_col: 2,
+            model: ModelType::Lin,
+        }];
+        let th = Thresholds::new(0.5, 3, 0.5, 1);
+        let mut held = Vec::new();
+        FragmentFitter::new(&g, &[1], &cands, &th).fit(&[0, 1, 2], |ci, l| held.push((ci, l)));
+        assert_eq!(held.len(), 1, "the fragment holds Lin");
+        assert_eq!(held[0].1.fitted.gof, 1.0);
     }
 
     #[test]

@@ -9,11 +9,11 @@ use crate::mining::candidates::{group_sets, model_valid_for, splits_of};
 use crate::mining::fit::{settle_in_band, FitOutcome};
 use crate::mining::{make_instance, record_mining_run, validate_config, Miner, MiningOutput};
 use crate::pattern::Arp;
-use crate::store::PatternStore;
+use crate::store::{FragKey, LocalPattern, Locals, PatternStore};
 use cape_data::ops::{aggregate_with_row_count, distinct_project, select};
 use cape_data::{AggSpec, AttrId, Predicate, Relation, Value};
 use cape_regress::fit;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The brute-force miner.
@@ -38,6 +38,9 @@ impl Miner for NaiveMiner {
             for g in group_sets(&attrs, cfg.psi) {
                 let aggs = cfg.resolve_aggs(rel, &g);
                 for split in splits_of(&g) {
+                    // The split's fragment keys, one per fragment, shared by
+                    // every candidate holding there.
+                    let mut keys: HashSet<FragKey> = HashSet::new();
                     for &(agg, agg_attr) in &aggs {
                         if let Some(a) = agg_attr {
                             if g.contains(&a) {
@@ -50,7 +53,7 @@ impl Miner for NaiveMiner {
                             }
                             cape_obs::counter_add("mining.candidates_considered", 1);
                             let outcome = naive_pattern_holds(
-                                rel, &split.f, &split.v, agg, agg_attr, model, cfg,
+                                rel, &split.f, &split.v, agg, agg_attr, model, cfg, &mut keys,
                             )?;
                             if let Some(outcome) = outcome {
                                 cape_obs::counter_add("mining.patterns_found", 1);
@@ -86,7 +89,8 @@ impl Miner for NaiveMiner {
 
 /// NaivePatternHolds (Algorithm 4): enumerate fragments via `π_F(R)`, run
 /// one retrieval query `γ_{V, agg}(σ_{F=f}(R))` per fragment, fit, and
-/// apply the global thresholds.
+/// apply the global thresholds. A holding fragment's key is taken from
+/// (or added to) `keys`, the split's keys.
 #[allow(clippy::too_many_arguments)]
 fn naive_pattern_holds(
     rel: &Relation,
@@ -96,12 +100,13 @@ fn naive_pattern_holds(
     agg_attr: Option<AttrId>,
     model: cape_regress::ModelType,
     cfg: &MiningConfig,
+    keys: &mut HashSet<FragKey>,
 ) -> Result<Option<FitOutcome>> {
     let th = &cfg.thresholds;
     let frags = distinct_project(rel, f)?;
     cape_obs::counter_add("mining.group_queries", 1);
 
-    let mut locals = HashMap::new();
+    let mut locals = Locals::new();
     let mut num_supported = 0usize;
 
     for fi in 0..frags.num_rows() {
@@ -157,14 +162,17 @@ fn naive_pattern_holds(
             max_pos = max_pos.max(dev);
             max_neg = max_neg.min(dev);
         }
+        let key = match keys.get(f_key.as_slice()) {
+            Some(key) => Arc::clone(key),
+            None => {
+                let key: FragKey = f_key.into();
+                keys.insert(Arc::clone(&key));
+                key
+            }
+        };
         locals.insert(
-            f_key,
-            crate::store::LocalPattern {
-                fitted,
-                support,
-                max_pos_dev: max_pos,
-                max_neg_dev: max_neg,
-            },
+            key,
+            Arc::new(LocalPattern { fitted, support, max_pos_dev: max_pos, max_neg_dev: max_neg }),
         );
     }
 

@@ -66,8 +66,8 @@ pub use v2::{
 use crate::config::{AggSelection, MiningConfig, Thresholds};
 use crate::group_data::GroupData;
 use crate::pattern::Arp;
-use crate::store::{fold_dev_bounds, LocalPattern, PatternInstance, PatternStore};
-use cape_data::{AggFunc, AttrId, Relation, Schema, Value};
+use crate::store::{fold_dev_bounds, FragKey, LocalPattern, Locals, PatternInstance, PatternStore};
+use cape_data::{AggFunc, AttrId, Relation, Schema};
 use cape_regress::Fitted;
 use codec::{ByteReader, ByteWriter, WireError};
 use std::collections::HashMap;
@@ -271,13 +271,12 @@ fn encode_patterns_section(store: &PatternStore) -> Vec<u8> {
         w.f64(inst.confidence);
         w.u64(inst.num_supported as u64);
         // Locals in sorted key order: byte-identical files for equal stores.
-        let mut keys: Vec<&Vec<Value>> = inst.locals.keys().collect();
-        keys.sort();
-        w.u32(keys.len() as u32);
-        for key in keys {
-            let local = &inst.locals[key];
+        let mut locals: Vec<(&FragKey, &Arc<LocalPattern>)> = inst.locals.iter().collect();
+        locals.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.u32(locals.len() as u32);
+        for (key, local) in locals {
             w.u32(key.len() as u32);
-            for v in key {
+            for v in key.iter() {
                 codec::write_value(&mut w, v);
             }
             w.u64(local.support as u64);
@@ -544,7 +543,7 @@ struct PendingPattern {
     arp: Arp,
     confidence: f64,
     num_supported: usize,
-    locals: HashMap<Vec<Value>, LocalPattern>,
+    locals: Locals,
 }
 
 fn read_attr_list(r: &mut ByteReader) -> Result<Vec<AttrId>, WireError> {
@@ -557,6 +556,11 @@ fn decode_patterns_section(payload: &[u8]) -> Result<Vec<PendingPattern>, Snapsh
     let mut r = ByteReader::new(payload);
     let n = r.count(1).map_err(&e)?;
     let mut out = Vec::with_capacity(n);
+    // Every pattern holding on a fragment shares one key, as when mined.
+    // Keys are shared by their encoded bytes, so each decodes to exactly
+    // the values the file holds (`Int(1)` and `Float(1.0)` compare equal
+    // but encode apart).
+    let mut keys: HashMap<&[u8], FragKey> = HashMap::new();
     for _ in 0..n {
         let f = read_attr_list(&mut r).map_err(&e)?;
         let v = read_attr_list(&mut r).map_err(&e)?;
@@ -570,12 +574,15 @@ fn decode_patterns_section(payload: &[u8]) -> Result<Vec<PendingPattern>, Snapsh
         let confidence = r.f64().map_err(&e)?;
         let num_supported = r.usize().map_err(&e)?;
         let n_locals = r.count(1).map_err(&e)?;
-        let mut locals = HashMap::with_capacity(n_locals);
+        let mut locals = Locals::with_capacity(n_locals);
         for _ in 0..n_locals {
+            let key_start = payload.len() - r.remaining();
             let key_len = r.count(1).map_err(&e)?;
             let key = (0..key_len)
                 .map(|_| codec::read_value(&mut r).map_err(&e))
                 .collect::<Result<Vec<_>, _>>()?;
+            let key_bytes = &payload[key_start..payload.len() - r.remaining()];
+            let key = Arc::clone(keys.entry(key_bytes).or_insert_with(|| key.into()));
             let support = r.usize().map_err(&e)?;
             let gof = r.f64().map_err(&e)?;
             let max_pos_dev = r.f64().map_err(&e)?;
@@ -583,12 +590,12 @@ fn decode_patterns_section(payload: &[u8]) -> Result<Vec<PendingPattern>, Snapsh
             let fit_model = codec::read_model(&mut r).map_err(&e)?;
             locals.insert(
                 key,
-                LocalPattern {
+                Arc::new(LocalPattern {
                     fitted: Fitted { model: fit_model, gof, n: support },
                     support,
                     max_pos_dev,
                     max_neg_dev,
-                },
+                }),
             );
         }
         out.push(PendingPattern {
@@ -825,7 +832,7 @@ fn temp_path(path: &Path) -> PathBuf {
 mod tests {
     use super::*;
     use crate::mining::{Miner, ShareGrpMiner};
-    use cape_data::ValueType;
+    use cape_data::{Value, ValueType};
 
     fn mined() -> (Relation, MiningConfig, PatternStore) {
         let schema = Schema::new([

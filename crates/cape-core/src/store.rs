@@ -3,10 +3,20 @@
 
 use crate::group_data::GroupData;
 use crate::pattern::Arp;
-use cape_data::{AttrId, Schema, Value};
+use cape_data::{AggFunc, AttrId, Schema, Value};
 use cape_regress::Fitted;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// A fragment value `f = t[F]` (values in `arp.f()` order). One
+/// allocation per fragment, shared by every candidate holding there and
+/// by every epoch of an incrementally maintained store.
+pub type FragKey = Arc<[Value]>;
+
+/// Local models keyed by fragment value. Both halves are shared values:
+/// cloning the map copies pointers, and a local pattern is never mutated,
+/// only replaced.
+pub type Locals = HashMap<FragKey, Arc<LocalPattern>>;
 
 /// A pattern holding *locally* on one fragment `f ∈ frag(R, P)`
 /// (Definition 3): the fitted model `g_{P,f}` plus bookkeeping used by
@@ -35,7 +45,7 @@ pub struct PatternInstance {
     pub agg_col: usize,
     /// Local models keyed by the fragment value `f = t[F]`
     /// (values in `arp.f()` order).
-    pub locals: HashMap<Vec<Value>, LocalPattern>,
+    pub locals: Locals,
     /// Global confidence `|frag_good| / |frag_supp|`.
     pub confidence: f64,
     /// `|frag_supp|`: fragments with local support ≥ δ.
@@ -54,7 +64,7 @@ impl PatternInstance {
 
     /// Look up the local model for fragment value `f` (in `arp.f()` order).
     pub fn local(&self, f: &[Value]) -> Option<&LocalPattern> {
-        self.locals.get(f)
+        self.locals.get(f).map(Arc::as_ref)
     }
 
     /// Predict the aggregate for row `i` of `data.relation` using the
@@ -63,7 +73,7 @@ impl PatternInstance {
     /// under a linear model.
     pub fn predict_row(&self, i: usize) -> Option<f64> {
         let f_key = self.data.key_of(i, self.arp.f())?;
-        let local = self.locals.get(&f_key)?;
+        let local = self.local(&f_key)?;
         let x = self.predictor_vec(i)?;
         Some(local.fitted.model.predict(&x))
     }
@@ -108,6 +118,10 @@ pub struct PatternStore {
     /// pattern `i`, itself included. Kept current by [`push`](Self::push),
     /// so explanation never rescans the store for refinements.
     refinements: Vec<Vec<usize>>,
+    /// Ascending indices of the patterns of each shape `(V, agg, A)`.
+    /// Refinement (Definition 6) requires all three to be equal, so
+    /// [`push`](Self::push) compares a new pattern within its shape only.
+    by_shape: HashMap<(Vec<AttrId>, AggFunc, Option<AttrId>), Vec<usize>>,
 }
 
 impl PatternStore {
@@ -130,15 +144,19 @@ impl PatternStore {
     /// it refines, and gets its own list of the patterns refining it.
     pub fn push(&mut self, instance: PatternInstance) -> usize {
         let idx = self.instances.len();
+        let arp = &instance.arp;
+        let shape = self.by_shape.entry((arp.v().to_vec(), arp.agg, arp.agg_attr)).or_default();
         let mut own = Vec::new();
-        for (i, other) in self.instances.iter().enumerate() {
-            if other.arp.is_refined_by(&instance.arp) {
+        for &i in shape.iter() {
+            let other = &self.instances[i].arp;
+            if other.is_refined_by(arp) {
                 self.refinements[i].push(idx);
             }
-            if instance.arp.is_refined_by(&other.arp) {
+            if arp.is_refined_by(other) {
                 own.push(i);
             }
         }
+        shape.push(idx);
         own.push(idx);
         self.instances.push(instance);
         self.refinements.push(own);
@@ -194,13 +212,10 @@ impl PatternStore {
                 out.push(inst.clone());
             } else {
                 // Deterministic subset: sort fragment keys.
-                let mut keys: Vec<&Vec<Value>> = inst.locals.keys().collect();
-                keys.sort();
-                let kept: HashMap<Vec<Value>, LocalPattern> = keys
-                    .into_iter()
-                    .take(take)
-                    .map(|k| (k.clone(), inst.locals[k].clone()))
-                    .collect();
+                let mut kept: Vec<(&FragKey, &Arc<LocalPattern>)> = inst.locals.iter().collect();
+                kept.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                let kept: Locals =
+                    kept.into_iter().take(take).map(|(k, l)| (k.clone(), l.clone())).collect();
                 let mut trimmed = inst.clone();
                 trimmed.locals = kept;
                 out.push(trimmed);
@@ -279,13 +294,13 @@ mod tests {
             vec![Value::str("ax"), Value::str("KDD")]
         };
         locals.insert(
-            f_cols_key,
-            LocalPattern {
+            f_cols_key.into(),
+            Arc::new(LocalPattern {
                 fitted: Fitted { model: Model::Constant { beta: 1.5 }, gof: 0.9, n: 2 },
                 support: 2,
                 max_pos_dev: 0.5,
                 max_neg_dev: -0.5,
-            },
+            }),
         );
         let mut inst = PatternInstance {
             arp,

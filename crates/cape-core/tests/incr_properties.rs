@@ -12,6 +12,7 @@ use cape_core::{Arp, IncrStore, LocalPattern, MiningConfig, Thresholds};
 use cape_data::{AggFunc, Relation, Schema, Value, ValueType};
 use cape_regress::{Model, ModelType};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const TOL: f64 = 1e-9;
 
@@ -156,7 +157,7 @@ fn local(
 ) -> Option<LocalPattern> {
     let arp = Arp::new([K], [X], agg, agg_attr, model);
     let (_, p) = store.iter().find(|(_, p)| p.arp == arp)?;
-    p.locals.get(&vec![Value::str(key)]).cloned()
+    p.local(&[Value::str(key)]).cloned()
 }
 
 proptest! {
@@ -227,4 +228,60 @@ fn fragment_values_become_equal() {
     assert!(before.is_none_or(|g| g < 1.0), "counts 2,1,2,2 are not constant: {before:?}");
     assert_eq!(gof(&stores[1], ModelType::Const), Some(1.0));
     assert_eq!(gof(&stores[1], ModelType::Lin), Some(1.0));
+}
+
+/// Every local pattern of a store, deep-copied, in a canonical order.
+type DeepLocals = Vec<(Arp, Vec<(Vec<Value>, LocalPattern)>)>;
+
+fn deep_locals(store: &PatternStore) -> DeepLocals {
+    let instance = |(_, p): (usize, &cape_core::PatternInstance)| {
+        let mut locals: Vec<(Vec<Value>, LocalPattern)> =
+            p.locals.iter().map(|(k, l)| (k.to_vec(), (**l).clone())).collect();
+        locals.sort_by(|a, b| a.0.cmp(&b.0));
+        (p.arp.clone(), locals)
+    };
+    store.iter().map(instance).collect()
+}
+
+/// An append shares the epochs' untouched local patterns: in every
+/// instance that holds before and after, each fragment the row does not
+/// touch keeps the very same `Arc`, each touched one that holds gets a
+/// new one, and the earlier epoch's store is left as it was.
+#[test]
+fn epochs_share_untouched_local_patterns() {
+    let mut rows = Vec::new();
+    for x in 0..4 {
+        for k in ["a", "b", "c"] {
+            rows.push(row(k, x, Some(x + 1), Some(1.25)));
+        }
+    }
+    let base = Relation::from_rows(schema(), rows).unwrap();
+    let mut incr = IncrStore::build(base, cfg()).unwrap();
+    let s0 = incr.store();
+    let before = deep_locals(&s0);
+    let appended = row("a", 1, Some(3), Some(0.5));
+    incr.append(vec![appended.clone()]).unwrap();
+    let s1 = incr.store();
+
+    let (mut shared, mut renewed) = (0usize, 0usize);
+    for (_, p0) in s0.iter() {
+        let Some((_, p1)) = s1.iter().find(|(_, p)| p.arp == p0.arp) else { continue };
+        let touched: Vec<Value> = p0.arp.f().iter().map(|&a| appended[a].clone()).collect();
+        for (key, l0) in &p0.locals {
+            if **key == touched[..] {
+                continue;
+            }
+            let l1 = p1.locals.get(key).unwrap_or_else(|| panic!("{:?}: lost {key:?}", p0.arp));
+            assert!(Arc::ptr_eq(l0, l1), "{:?}: untouched {key:?} was copied", p0.arp);
+            shared += 1;
+        }
+        if let Some(l1) = p1.locals.get(&touched[..]) {
+            let kept = p0.locals.get(&touched[..]).is_some_and(|l0| Arc::ptr_eq(l0, l1));
+            assert!(!kept, "{:?}: touched {touched:?} kept its Arc", p0.arp);
+            renewed += 1;
+        }
+    }
+    assert!(shared > 0, "no untouched local was shared");
+    assert!(renewed > 0, "no touched local was refit");
+    assert_eq!(deep_locals(&s0), before, "the earlier epoch changed");
 }

@@ -7,9 +7,10 @@ use cape_core::explain::{
     relative_loss, score_value, summarize, DistanceModel, Explanation, SummarizeConfig, TopK,
 };
 use cape_core::mining::{splits_of, ArpMiner, Miner, ShareGrpMiner};
-use cape_core::store::PatternStore;
-use cape_core::{MiningConfig, Thresholds};
-use cape_data::{Relation, Schema, Value, ValueType};
+use cape_core::store::{PatternInstance, PatternStore};
+use cape_core::{Arp, MiningConfig, Thresholds};
+use cape_data::{AggFunc, Relation, Schema, Value, ValueType};
+use cape_regress::ModelType;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -385,6 +386,33 @@ proptest! {
             }
             prop_assert!(p.max_pos_dev >= 0.0);
             prop_assert!(p.max_neg_dev <= 0.0);
+        }
+    }
+}
+
+proptest! {
+    /// The refinement table, kept per pattern shape `(V, agg, A)`, lists
+    /// exactly the brute-force refinements (Definition 6) of every
+    /// pattern, ascending, over random ARP sets whose shapes often repeat.
+    #[test]
+    fn refinement_table_matches_brute_force(
+        arps in proptest::collection::vec((1u8..8, 0usize..3, 0usize..3, 0usize..2), 0..40),
+    ) {
+        let (mined, _) = lattice_store();
+        let template = mined.get(0).unwrap();
+        let instances = arps.iter().map(|&(f_mask, v, agg, model)| {
+            let f = (0..3).filter(|a| (f_mask >> a) & 1 == 1);
+            let v = [vec![3], vec![4], vec![3, 4]][v].clone();
+            let (agg, attr) =
+                [(AggFunc::Count, None), (AggFunc::Sum, Some(5)), (AggFunc::Max, Some(5))][agg];
+            let model = [ModelType::Const, ModelType::Lin][model];
+            PatternInstance { arp: Arp::new(f, v, agg, attr, model), ..template.clone() }
+        });
+        let store = PatternStore::from_instances(instances.collect());
+        for (i, p) in store.iter() {
+            let want: Vec<usize> =
+                store.iter().filter(|(_, q)| p.arp.is_refined_by(&q.arp)).map(|(j, _)| j).collect();
+            prop_assert_eq!(store.refinements_of(i), &want[..], "pattern {}", i);
         }
     }
 }

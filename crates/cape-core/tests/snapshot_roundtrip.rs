@@ -9,12 +9,12 @@ use cape_core::snapshot::codec::{
     canonical_f64_bits, read_value, write_value, ByteReader, ByteWriter,
 };
 use cape_core::snapshot::{encode_snapshot, read_snapshot};
-use cape_core::store::{LocalPattern, PatternStore};
+use cape_core::store::{LocalPattern, Locals, PatternStore};
 use cape_core::{MiningConfig, Thresholds};
 use cape_data::{Relation, Schema, Value, ValueType};
 use cape_regress::{Fitted, Model};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Build a `Value` from a generated spec tuple.
 fn value_from_spec((tag, i, s): (u8, i64, u8)) -> Value {
@@ -75,19 +75,19 @@ proptest! {
     ) {
         let (rel, cfg, mut store) = mined();
         let arity = store.get(0).unwrap().arp.f().len();
-        let mut locals: HashMap<Vec<Value>, LocalPattern> = HashMap::new();
+        let mut locals = Locals::new();
         for (i, spec) in key_specs.iter().enumerate() {
             // Cycle the spec into a key of the pattern's partition arity.
             let key: Vec<Value> = (0..arity)
                 .map(|j| value_from_spec((spec.0.wrapping_add(j as u8), spec.1 + j as i64, spec.2)))
                 .collect();
             let (beta, gof, support, dev) = val_specs[i % val_specs.len()];
-            locals.insert(key, LocalPattern {
+            locals.insert(key.into(), Arc::new(LocalPattern {
                 fitted: Fitted { model: Model::Constant { beta }, gof, n: support },
                 support,
                 max_pos_dev: dev,
                 max_neg_dev: -dev,
-            });
+            }));
         }
         let instances: Vec<_> = store.iter().map(|(_, p)| p.clone()).collect();
         let mut first = instances[0].clone();

@@ -25,11 +25,47 @@ pub struct AttrStats {
 impl AttrStats {
     /// The numeric range (`max - min`) when defined and positive.
     pub fn range(&self) -> Option<f64> {
-        match (self.min, self.max) {
-            (Some(lo), Some(hi)) if hi > lo => Some(hi - lo),
-            _ => None,
-        }
+        positive_range(self.min, self.max)
     }
+}
+
+fn positive_range(min: Option<f64>, max: Option<f64>) -> Option<f64> {
+    match (min, max) {
+        (Some(lo), Some(hi)) if hi > lo => Some(hi - lo),
+        _ => None,
+    }
+}
+
+/// The numeric range of one attribute, [`AttrStats::range`] without the
+/// distinct count: one min/max pass over the column, no hashing.
+pub fn attr_range(rel: &Relation, attr: AttrId) -> Result<Option<f64>> {
+    rel.schema().attr(attr)?;
+    let (min, max) = min_max(rel, attr);
+    Ok(positive_range(min, max))
+}
+
+/// Minimum and maximum of an attribute's numeric cells, in row order
+/// (`f64::min`/`max`, so a NaN is replaced by the next value it meets).
+/// `None` when no cell is numeric.
+fn min_max(rel: &Relation, attr: AttrId) -> (Option<f64>, Option<f64>) {
+    use crate::column::Column;
+    let mut min: Option<f64> = None;
+    let mut max: Option<f64> = None;
+    let mut upd = |x: f64| {
+        min = Some(min.map_or(x, |m| m.min(x)));
+        max = Some(max.map_or(x, |m| m.max(x)));
+    };
+    match rel.col(attr) {
+        Column::Int(c) => {
+            (0..rel.num_rows()).filter(|&i| !c.nulls.get(i)).for_each(|i| upd(c.data[i] as f64))
+        }
+        Column::Float(c) => {
+            (0..rel.num_rows()).filter(|&i| !c.nulls.get(i)).for_each(|i| upd(c.data[i]))
+        }
+        Column::Str(_) => {}
+        Column::Mixed(values) => values.iter().filter_map(Value::as_f64).for_each(upd),
+    }
+    (min, max)
 }
 
 /// Compute [`AttrStats`] for a single attribute.
@@ -39,12 +75,6 @@ pub fn attr_stats(rel: &Relation, attr: AttrId) -> Result<AttrStats> {
     rel.schema().attr(attr)?;
     use crate::column::Column;
     let n = rel.num_rows();
-    let mut min: Option<f64> = None;
-    let mut max: Option<f64> = None;
-    let upd = |x: f64, min: &mut Option<f64>, max: &mut Option<f64>| {
-        *min = Some(min.map_or(x, |m| m.min(x)));
-        *max = Some(max.map_or(x, |m| m.max(x)));
-    };
     let (distinct, nulls) = match rel.col(attr) {
         Column::Int(c) => {
             let mut seen: HashSet<i64> = HashSet::new();
@@ -53,7 +83,6 @@ pub fn attr_stats(rel: &Relation, attr: AttrId) -> Result<AttrStats> {
                     continue;
                 }
                 seen.insert(c.data[i]);
-                upd(c.data[i] as f64, &mut min, &mut max);
             }
             (seen.len(), c.nulls.null_count())
         }
@@ -64,7 +93,6 @@ pub fn attr_stats(rel: &Relation, attr: AttrId) -> Result<AttrStats> {
                     continue;
                 }
                 seen.insert(c.data[i].to_bits());
-                upd(c.data[i], &mut min, &mut max);
             }
             (seen.len(), c.nulls.null_count())
         }
@@ -78,21 +106,11 @@ pub fn attr_stats(rel: &Relation, attr: AttrId) -> Result<AttrStats> {
             (used.iter().filter(|&&u| u).count(), c.nulls.null_count())
         }
         Column::Mixed(values) => {
-            let mut seen: HashSet<&Value> = HashSet::new();
-            let mut nulls = 0usize;
-            for v in values {
-                if v.is_null() {
-                    nulls += 1;
-                    continue;
-                }
-                seen.insert(v);
-                if let Some(x) = v.as_f64() {
-                    upd(x, &mut min, &mut max);
-                }
-            }
-            (seen.len(), nulls)
+            let seen: HashSet<&Value> = values.iter().filter(|v| !v.is_null()).collect();
+            (seen.len(), values.iter().filter(|v| v.is_null()).count())
         }
     };
+    let (min, max) = min_max(rel, attr);
     Ok(AttrStats { distinct, nulls, min, max })
 }
 

@@ -4,6 +4,7 @@ use cape_data::ops::{
     aggregate, aggregate_with_row_count, cube, distinct, distinct_project, project, rows_matching,
     select, sort_by, sort_perm, sorted_block_starts,
 };
+use cape_data::stats::{attr_range, attr_stats};
 use cape_data::{AggFunc, AggSpec, Predicate, Relation, Schema, Value, ValueType};
 use proptest::prelude::*;
 
@@ -427,6 +428,23 @@ proptest! {
                 .filter(|&i| cols.iter().zip(&vals).all(|(&c, v)| rel.value(i, c) == *v))
                 .collect();
             prop_assert_eq!(rows_matching(&rel, &cols, &vals), want, "cols {:?} key {:?}", cols, vals);
+        }
+    }
+}
+
+proptest! {
+    /// `attr_range`'s one min/max pass gives `attr_stats`' range bit for
+    /// bit over Int, Float, Str and (usually) `Mixed` columns holding
+    /// NULL, NaN and −0.0; the prefixes of 0–3 rows add relations with no
+    /// rows and columns holding a single value.
+    #[test]
+    fn attr_range_equals_the_stats_range(rel in arb_keyed_relation(), len in 0usize..4) {
+        let prefix: Vec<usize> = (0..len.min(rel.num_rows())).collect();
+        for r in [rel.take(&prefix), rel] {
+            for c in 0..r.schema().arity() {
+                let want = attr_stats(&r, c).unwrap().range().map(f64::to_bits);
+                prop_assert_eq!(attr_range(&r, c).unwrap().map(f64::to_bits), want, "column {}", c);
+            }
         }
     }
 }

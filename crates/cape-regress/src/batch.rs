@@ -146,9 +146,10 @@ pub fn fit_linear1_batch(xs: &[f64], ys: &[f64]) -> Result<Fitted> {
 
     // Pass 3: residual R², chunked over predictions (not the algebraic
     // shortcut `S_yy − slope·S_xy`, which cancels catastrophically for
-    // near-perfect fits).
+    // near-perfect fits). Constant targets are decided from the targets,
+    // as `r_squared` does.
     let ss_tot = centered_sumsq_chunked(ys, my);
-    let gof = if ss_tot == 0.0 {
+    let gof = if ys.iter().all(|&y| y == ys[0]) || ss_tot == 0.0 {
         1.0
     } else {
         let mut res_acc = [0.0f64; LANES];
@@ -259,6 +260,27 @@ mod tests {
         let batch = fit_constant_batch(&ys).unwrap();
         let exact = fit_constant(&ys).unwrap();
         assert!((batch.gof - exact.gof).abs() < 1e-9);
+    }
+
+    /// Equal float targets whose computed mean is not exactly their value
+    /// (three 0.1s, six 0.7s, seven 1.1s) and ones whose mean is (five
+    /// 0.1s, nine 0.3s): both kernels read R² = 1 for every one, over
+    /// x = 2000, 2001, … in every rotation, forward and reversed.
+    #[test]
+    fn constant_float_targets_fit_perfectly() {
+        for (y, n) in [(0.1, 3), (0.7, 6), (1.1, 7), (0.1, 5), (0.3, 9)] {
+            let ys = vec![y; n];
+            let base: Vec<f64> = (0..n).map(|i| 2000.0 + i as f64).collect();
+            for r in 0..n {
+                let mut xs = base.clone();
+                xs.rotate_left(r);
+                for xs in [xs.clone(), xs.into_iter().rev().collect()] {
+                    let ctx = format!("{n} × {y} over {xs:?}");
+                    assert_eq!(fit_linear1_batch(&xs, &ys).unwrap().gof, 1.0, "batch: {ctx}");
+                    assert_eq!(fit_linear(&col(&xs), &ys).unwrap().gof, 1.0, "exact: {ctx}");
+                }
+            }
+        }
     }
 
     #[test]

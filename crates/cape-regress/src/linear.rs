@@ -87,11 +87,17 @@ fn fit_multiple(xs: &[Vec<f64>], ys: &[f64], d: usize) -> Result<Model> {
 
 /// `R² = 1 − SS_res / SS_tot`, clamped to `[0, 1]`.
 ///
-/// When the targets are constant (`SS_tot = 0`) the fit is perfect iff the
-/// residuals are zero, which OLS guarantees here, so we return 1.
+/// When the targets are constant (every `y` equals the first) the fit is
+/// perfect iff the residuals are zero, which OLS guarantees here, so we
+/// return 1. Constancy is read from the targets, not from `SS_tot = 0`:
+/// the computed mean of equal floats need not equal them, and then
+/// `SS_tot` and `SS_res` are the same rounding residue, so `1 − SS_res /
+/// SS_tot` reads 0 for some lengths and values and 1 for others.
+/// (`SS_tot` can still underflow to 0 for tiny distinct targets; that
+/// also returns 1.)
 pub fn r_squared(model: &Model, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
     let ss_tot = total_sum_of_squares(ys);
-    if ss_tot == 0.0 {
+    if ys.iter().all(|&y| y == ys[0]) || ss_tot == 0.0 {
         return 1.0;
     }
     let ss_res: f64 = xs
