@@ -173,11 +173,12 @@ impl GroupData {
         perm
     }
 
-    /// Drop all cached sort permutations (mining calls this once a group
-    /// set is fully processed, so pattern instances holding `Arc<GroupData>`
-    /// do not pin permutation memory in the store).
-    pub fn clear_sort_cache(&self) {
+    /// Drop all cached sort permutations and column ranks (mining calls
+    /// this once a group set is fully processed, so pattern instances
+    /// holding `Arc<GroupData>` do not pin their memory in the store).
+    pub fn clear_caches(&self) {
         self.sort_cache.lock().expect("sort cache poisoned").clear();
+        self.ranks.lock().expect("rank cache poisoned").fill(None);
     }
 
     /// Column index (into [`GroupData::relation`]) of the given aggregate.
@@ -286,6 +287,11 @@ mod tests {
         assert_eq!(snap.counter("mining.sort_cache_hits"), 2);
         assert_eq!(snap.counter("mining.sort_cache_misses"), 2);
         assert!(snap.counter("mining.scan_rows_saved") > 0);
+        // Clearing leaves neither a permutation nor a rank column behind.
+        assert!(g.ranks.lock().unwrap().iter().any(Option::is_some));
+        g.clear_caches();
+        assert!(g.sort_cache.lock().unwrap().is_empty());
+        assert!(g.ranks.lock().unwrap().iter().all(Option::is_none));
     }
 
     #[test]
@@ -303,7 +309,7 @@ mod tests {
             GroupData::compute(&rel(), &[0, 1], &[(AggFunc::Count, None), (AggFunc::Sum, Some(2))])
                 .unwrap();
         for keys in [vec![0usize, 1], vec![1, 0], vec![3, 0, 1], vec![2]] {
-            g.clear_sort_cache();
+            g.clear_caches();
             let ours = g.sort_perm_covering(&keys, &[1]);
             let legacy = cape_data::ops::sort_perm(&g.relation, &keys);
             assert_eq!(*ours, legacy, "keys {keys:?}");

@@ -1,15 +1,18 @@
 //! Incremental ARP maintenance: streaming appends over a mined store.
 //!
-//! [`IncrStore`] keeps the mining state of a relation *live*: appending a
-//! batch of rows updates the per-group aggregates in place, refits only
-//! the fragments whose membership or aggregate outputs actually changed
-//! — with the batch miners' own per-fragment fitter, over the fragment's
-//! grouped rows — and re-derives the global holds from the updated local
-//! counts. Untouched fragments share their local patterns between
-//! epochs; the regenerated [`PatternStore`] lists instances in the exact
-//! order the batch miners produce (group sets in lattice order × `(F, V)`
-//! splits × candidates), so an incremental store is interchangeable with
-//! a re-mined one.
+//! [`IncrStore`] keeps the mining state of a relation *live*. It is built
+//! with the batch miners' kernels: one [`GroupData`] per group set — the
+//! only copy of its aggregates — fragments from the packed group index,
+//! and one fit per fragment. Appending a batch of rows folds each row
+//! into its group's aggregate cells in place (resuming each aggregate
+//! from its stored value), refits only the fragments whose membership or
+//! aggregate outputs actually changed — with the batch miners' own
+//! per-fragment fitter, over the fragment's grouped rows — and re-derives
+//! the global holds from the updated local counts. Untouched fragments
+//! share their local patterns between epochs; the regenerated
+//! [`PatternStore`] lists instances in the exact order the batch miners
+//! produce (group sets in lattice order × `(F, V)` splits × candidates),
+//! so an incremental store is interchangeable with a re-mined one.
 //!
 //! Durability is a hot/durable tier split: the base relation's snapshot
 //! (either version) plus a write-ahead log of append deltas beside it
@@ -20,12 +23,12 @@
 //! snapshot of the version it opened and rewrites the WAL to a single
 //! consolidated record.
 //!
-//! FD pruning changes the candidate space dynamically and is rejected up
-//! front.
+//! FD pruning changes the candidate space dynamically, and a stored `avg`
+//! cannot be resumed from its mean; both are rejected up front.
 
 pub mod wal;
 
-use crate::config::MiningConfig;
+use crate::config::{AggSelection, MiningConfig, Thresholds};
 use crate::group_data::GroupData;
 use crate::mining::candidates::{group_sets, splits_of, Split};
 use crate::mining::fit::{FitOutcome, FragmentFitter, SplitCandidate};
@@ -33,13 +36,13 @@ use crate::mining::{make_instance, share_grp::build_candidates, validate_config}
 use crate::pattern::Arp;
 use crate::snapshot::{
     load_snapshot_config, save_snapshot, save_snapshot_v2, schema_fingerprint, SnapshotError,
-    FORMAT_VERSION, FORMAT_VERSION_V2,
+    FORMAT_VERSION_V2,
 };
 use crate::store::{FragKey, Locals, PatternStore};
 use cape_data::agg::Accumulator;
-use cape_data::ops::grouped_output_schema;
-use cape_data::{AggFunc, AggSpec, AttrId, Relation, Schema, Value, ValueType};
-use std::collections::{HashMap, HashSet};
+use cape_data::ops::group_key_index;
+use cape_data::{AggFunc, AttrId, Relation, Schema, Value, ValueType};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wal::WalError;
@@ -172,99 +175,149 @@ struct SplitState {
     supported: usize,
 }
 
-/// One group set `G`: the live aggregation (accumulators + grouped
-/// relation) and its splits.
+impl SplitState {
+    /// Group `data`'s rows into the split's fragments with the packed
+    /// group index — first-appearance ids and ascending slot lists, the
+    /// state an append's fold keeps — and fit every fragment.
+    fn build(
+        data: &GroupData,
+        split: Split,
+        candidates: Vec<SplitCandidate>,
+        thresholds: &Thresholds,
+    ) -> Self {
+        let grouped = &data.relation;
+        let f_cols = data.cols_of_attrs(&split.f).expect("F within G");
+        let v_cols = data.cols_of_attrs(&split.v).expect("V within G");
+        let idx = group_key_index(grouped, &f_cols);
+        let mut frags: Vec<FragState> = idx
+            .first_rows
+            .iter()
+            .map(|&r| FragState {
+                key: f_cols.iter().map(|&c| grouped.value(r as usize, c)).collect(),
+                slots: Vec::new(),
+            })
+            .collect();
+        for (slot, &fi) in idx.slots.iter().enumerate() {
+            frags[fi as usize].slots.push(slot);
+        }
+        let frag_index = frags.iter().enumerate().map(|(fi, f)| (Arc::clone(&f.key), fi)).collect();
+        let supported = frags.iter().filter(|f| f.slots.len() >= thresholds.delta).count();
+        let mut sp = SplitState {
+            split,
+            f_cols,
+            v_cols,
+            locals: vec![Locals::new(); candidates.len()],
+            candidates,
+            frag_index,
+            frags,
+            supported,
+        };
+        sp.refit(grouped, 0..sp.frags.len(), thresholds);
+        sp
+    }
+
+    /// Refit fragments `frag_ids` over `grouped` with the batch miners'
+    /// fitter. A refit replaces those fragments' entries and leaves every
+    /// other entry, and the epochs that share it, alone.
+    fn refit(
+        &mut self,
+        grouped: &Relation,
+        frag_ids: impl IntoIterator<Item = usize>,
+        thresholds: &Thresholds,
+    ) {
+        let SplitState { v_cols, candidates, frags, locals, .. } = self;
+        let mut fitter = FragmentFitter::new(grouped, v_cols, candidates, thresholds);
+        for fi in frag_ids {
+            let frag = &frags[fi];
+            for cand_locals in locals.iter_mut() {
+                cand_locals.remove(&frag.key);
+            }
+            if frag.slots.len() >= thresholds.delta {
+                fitter.fit(&frag.slots, |ci, local| {
+                    locals[ci].insert(Arc::clone(&frag.key), Arc::new(local));
+                });
+            }
+        }
+    }
+}
+
+/// One group set `G`: its aggregation — the only copy of each group's
+/// aggregates and row count — the index from a group's `G` values to
+/// its grouped row, and its splits.
 struct GroupState {
-    g: Vec<AttrId>,
+    /// Appends fold into `data.relation` in place; nothing sorts or ranks
+    /// it, so no cached order can go stale.
+    data: GroupData,
     aggs: Vec<(AggFunc, Option<AttrId>)>,
-    grouped: Relation,
-    accs: Vec<Vec<Accumulator>>,
-    row_counts: Vec<u64>,
     index: HashMap<Vec<Value>, usize>,
     splits: Vec<SplitState>,
 }
 
 impl GroupState {
-    fn new(
+    /// Aggregate `rel` by `g` with the batch miners' group-by and build
+    /// every split that has candidates.
+    fn build(
         rel: &Relation,
         cfg: &MiningConfig,
-        g: Vec<AttrId>,
+        g: &[AttrId],
         aggs: Vec<(AggFunc, Option<AttrId>)>,
     ) -> Result<Self, IncrError> {
-        let specs: Vec<AggSpec> = aggs.iter().map(|&(func, attr)| AggSpec { func, attr }).collect();
-        let schema = grouped_output_schema(rel.schema(), &g, &specs, true)
-            .map_err(|e| IncrError::Core(e.to_string()))?;
-        let grouped = Relation::new(schema);
-        // Throwaway GroupData over the empty grouped relation, used only
-        // to enumerate candidates with the exact batch logic.
-        let gd = GroupData::from_parts(g.clone(), grouped.clone(), &aggs);
+        let data = GroupData::compute(rel, g, &aggs).map_err(|e| IncrError::Core(e.to_string()))?;
+        let key_cols: Vec<usize> = (0..g.len()).collect();
+        let index = (0..data.relation.num_rows())
+            .map(|slot| (data.relation.row_project(slot, &key_cols), slot))
+            .collect();
         let mut splits = Vec::new();
-        for split in splits_of(&g) {
-            let f_cols = gd.cols_of_attrs(&split.f).expect("F within G");
-            let v_cols = gd.cols_of_attrs(&split.v).expect("V within G");
-            let candidates = build_candidates(rel, cfg, &gd, &split, &aggs);
-            if candidates.is_empty() {
-                continue;
+        for split in splits_of(g) {
+            let candidates = build_candidates(rel, cfg, &data, &split, &aggs);
+            if !candidates.is_empty() {
+                splits.push(SplitState::build(&data, split, candidates, &cfg.thresholds));
             }
-            splits.push(SplitState {
-                split,
-                f_cols,
-                v_cols,
-                locals: vec![Locals::new(); candidates.len()],
-                candidates,
-                frag_index: HashMap::new(),
-                frags: Vec::new(),
-                supported: 0,
-            });
         }
-        Ok(GroupState {
-            g,
-            aggs,
-            grouped,
-            accs: Vec::new(),
-            row_counts: Vec::new(),
-            index: HashMap::new(),
-            splits,
-        })
+        Ok(GroupState { data, aggs, index, splits })
     }
 
-    /// Fold rows `start..` of `rel` into the live aggregation, then
-    /// refit every fragment they touched. Returns the number of touched
-    /// fragments.
+    /// Fold rows `start..` of `rel` into their groups' aggregate cells,
+    /// then refit every fragment they touched. Returns the number of
+    /// touched fragments.
     fn ingest(
         &mut self,
         rel: &Relation,
         start: usize,
-        thresholds: &crate::config::Thresholds,
+        thresholds: &Thresholds,
     ) -> Result<usize, IncrError> {
-        // Phase 1: route each new row to its grouped slot. Slots from
-        // `first_new` on are created by this batch.
-        let first_new = self.grouped.num_rows();
+        let GroupState { data, aggs, index, splits } = self;
+        let base = data.group_attrs.len();
+        // Phase 1: route each new row to its grouped slot and fold it into
+        // the slot's cells. Slots from `first_new` on are created by this
+        // batch, starting from an empty group's cells.
+        let first_new = data.relation.num_rows();
         let mut touched: Vec<usize> = Vec::new();
         for i in start..rel.num_rows() {
-            let key = rel.row_project(i, &self.g);
-            let slot = match self.index.get(&key) {
+            let key = rel.row_project(i, &data.group_attrs);
+            let slot = match index.get(&key) {
                 Some(&s) => s,
                 None => {
-                    let s = self.grouped.num_rows();
-                    self.accs
-                        .push(self.aggs.iter().map(|&(func, _)| Accumulator::new(func)).collect());
-                    self.row_counts.push(0);
+                    let s = data.relation.num_rows();
                     let mut row = key.clone();
-                    row.extend(self.aggs.iter().map(|_| Value::Null));
+                    row.extend(aggs.iter().map(|&(func, _)| Accumulator::new(func).finish()));
                     row.push(Value::Int(0));
-                    self.grouped.push_row(row).expect("grouped arity is fixed");
-                    self.index.insert(key, s);
+                    data.relation.push_row(row).expect("grouped arity is fixed");
+                    index.insert(key, s);
                     s
                 }
             };
             touched.push(slot);
-            for (j, &(_, attr)) in self.aggs.iter().enumerate() {
-                self.accs[slot][j]
-                    .update(attr.map(|a| rel.value(i, a)).as_ref())
+            for (j, &(func, attr)) in aggs.iter().enumerate() {
+                let col = base + j;
+                let mut acc = Accumulator::resume(func, &data.relation.value(slot, col))
+                    .expect("check_maintainable admits only aggregates that resume");
+                acc.update(attr.map(|a| rel.value(i, a)).as_ref())
                     .map_err(|e| IncrError::Core(e.to_string()))?;
+                data.relation.set_value(slot, col, acc.finish());
             }
-            self.row_counts[slot] += 1;
+            let rows = data.relation.value(slot, data.rows_col).as_i64().expect("__rows is Int");
+            data.relation.set_value(slot, data.rows_col, Value::Int(rows + 1));
         }
 
         // Sorting by slot appends each batch's new slots to their
@@ -274,26 +327,13 @@ impl GroupState {
         touched.sort_unstable();
         touched.dedup();
 
-        // Phase 2: refresh the touched grouped rows' aggregate outputs.
-        let base = self.g.len();
-        for &slot in &touched {
-            for (j, acc) in self.accs[slot].iter().enumerate() {
-                self.grouped.set_value(slot, base + j, acc.finish());
-            }
-            self.grouped.set_value(
-                slot,
-                base + self.aggs.len(),
-                Value::Int(self.row_counts[slot] as i64),
-            );
-        }
-
-        // Phase 3: per split, add each new slot to its fragment, then
-        // refit every touched fragment with the batch miners' fitter.
+        // Phase 2: per split, add each new slot to its fragment, then
+        // refit every touched fragment.
         let delta = thresholds.delta;
-        let grouped = &self.grouped;
+        let grouped = &data.relation;
         let mut touched_frags_total = 0usize;
-        for sp in &mut self.splits {
-            let mut touched_frags: HashSet<usize> = HashSet::new();
+        for sp in splits.iter_mut() {
+            let mut touched_frags: Vec<usize> = Vec::new();
             for &slot in &touched {
                 let f_key = grouped.row_project(slot, &sp.f_cols);
                 let fi = match sp.frag_index.get(f_key.as_slice()) {
@@ -314,39 +354,34 @@ impl GroupState {
                         sp.supported += 1;
                     }
                 }
-                touched_frags.insert(fi);
+                touched_frags.push(fi);
             }
-
-            // A refit replaces a touched fragment's entries and leaves
-            // every other entry, and the epochs that share it, alone.
-            let mut fitter = FragmentFitter::new(grouped, &sp.v_cols, &sp.candidates, thresholds);
-            let locals = &mut sp.locals;
-            for &fi in &touched_frags {
-                let frag = &sp.frags[fi];
-                for cand_locals in locals.iter_mut() {
-                    cand_locals.remove(&frag.key);
-                }
-                if frag.slots.len() >= delta {
-                    fitter.fit(&frag.slots, |ci, local| {
-                        locals[ci].insert(Arc::clone(&frag.key), Arc::new(local));
-                    });
-                }
-            }
+            touched_frags.sort_unstable();
+            touched_frags.dedup();
             touched_frags_total += touched_frags.len();
+            sp.refit(grouped, touched_frags, thresholds);
         }
         Ok(touched_frags_total)
     }
 }
 
 /// Reject configurations that cannot be maintained incrementally:
-/// invalid ones, and `fd_pruning`, whose candidate space changes with
-/// the data.
+/// invalid ones; `fd_pruning`, whose candidate space changes with the
+/// data; and explicit `avg` aggregates, whose stored mean does not
+/// determine the running sum an append would resume from.
 fn check_maintainable(cfg: &MiningConfig) -> Result<(), IncrError> {
     validate_config(cfg).map_err(|e| IncrError::Config(e.to_string()))?;
     if cfg.fd_pruning {
         return Err(IncrError::Config(
             "fd_pruning prunes candidates data-dependently; maintain without it".to_string(),
         ));
+    }
+    if let AggSelection::Explicit(list) = &cfg.aggs {
+        if list.iter().any(|&(func, _)| func == AggFunc::Avg) {
+            return Err(IncrError::Config(
+                "avg cannot resume from its stored mean; maintain without it".to_string(),
+            ));
+        }
     }
     Ok(())
 }
@@ -357,7 +392,9 @@ pub struct IncrStore {
     cfg: MiningConfig,
     groups: Vec<GroupState>,
     store: Arc<PatternStore>,
-    delta_rows: Vec<Vec<Value>>,
+    /// Rows of the base relation; the rows after them are the delta the
+    /// WAL holds.
+    base_rows: usize,
     durability: Option<Durability>,
     /// Auto-compaction threshold: once the WAL exceeds this many bytes,
     /// `append` compacts before returning. Always
@@ -367,14 +404,16 @@ pub struct IncrStore {
 }
 
 impl IncrStore {
-    /// Build the incremental state by streaming `relation` through the
-    /// same fold the appends use, then derive the initial pattern store.
-    /// The resulting store is order- and content-equivalent to a batch
-    /// mine of `relation` under `cfg`.
+    /// Build the incremental state with the batch miners' kernels: each
+    /// group set is [`GroupData::compute`]'s aggregation, each split's
+    /// fragments come from the packed group index over it, and every
+    /// fragment is fitted once by the fitter appends refit with. The
+    /// resulting store is order- and content-equivalent to a batch mine
+    /// of `relation` under `cfg`.
     ///
-    /// Rejects configurations that cannot be maintained incrementally
-    /// (currently: `fd_pruning`, whose candidate space changes with the
-    /// data).
+    /// Rejects configurations that cannot be maintained incrementally:
+    /// `fd_pruning`, whose candidate space changes with the data, and
+    /// explicit `avg` aggregates.
     pub fn build(relation: Relation, cfg: MiningConfig) -> Result<Self, IncrError> {
         check_maintainable(&cfg)?;
         let attrs = cfg.candidate_attrs(&relation);
@@ -384,18 +423,20 @@ impl IncrStore {
             if aggs.is_empty() {
                 continue;
             }
-            groups.push(GroupState::new(&relation, &cfg, g, aggs)?);
+            let gs = GroupState::build(&relation, &cfg, &g, aggs)?;
+            if !gs.splits.is_empty() {
+                groups.push(gs);
+            }
         }
         let mut incr = IncrStore {
+            base_rows: relation.num_rows(),
             relation,
             cfg,
             groups,
             store: Arc::new(PatternStore::new()),
-            delta_rows: Vec::new(),
             durability: None,
             wal_compact_bytes: Some(DEFAULT_WAL_COMPACT_BYTES),
         };
-        incr.ingest_range(0)?;
         incr.store = Arc::new(incr.regenerate());
         Ok(incr)
     }
@@ -422,15 +463,13 @@ impl IncrStore {
         let arity = base.schema().arity();
 
         let mut relation = base.clone();
-        let mut delta_rows: Vec<Vec<Value>> = Vec::new();
         let last_seq = match wal::load_wal(&wal_path, schema_fp, arity)? {
             Some(replay) => {
                 for (seq, batch) in replay.batches {
                     for row in batch {
                         validate_row(relation.schema(), &row)
                             .map_err(|_| WalError::Corrupt { seq, what: "row values" })?;
-                        relation.push_row(row.clone()).expect("arity validated");
-                        delta_rows.push(row);
+                        relation.push_row(row).expect("arity validated");
                     }
                 }
                 replay.last_seq
@@ -442,41 +481,11 @@ impl IncrStore {
         };
 
         let mut incr = Self::build(relation, config)?;
-        incr.delta_rows = delta_rows;
+        incr.base_rows = base.num_rows();
         let wal_size = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
         incr.durability =
             Some(Durability { store_path, version, wal_path, schema_fp, last_seq, wal_size });
         Ok(incr)
-    }
-
-    /// Attach a snapshot/WAL pair to an in-memory store, creating an
-    /// empty WAL beside `store_path` (and refusing a non-empty one — its
-    /// rows would not be part of this store's relation). The snapshot
-    /// itself is written by [`IncrStore::compact`] or `save_snapshot`.
-    pub fn attach_durability(&mut self, store_path: impl Into<PathBuf>) -> Result<(), IncrError> {
-        let store_path = store_path.into();
-        let wal_path = wal_path_for(&store_path);
-        let schema_fp = schema_fingerprint(self.relation.schema());
-        if let Some(replay) = wal::load_wal(&wal_path, schema_fp, self.relation.schema().arity())? {
-            if !replay.batches.is_empty() || replay.folded_seq != 0 {
-                return Err(IncrError::Config(format!(
-                    "refusing to attach existing non-empty WAL {}",
-                    wal_path.display()
-                )));
-            }
-        } else {
-            wal::init_wal(&wal_path, schema_fp, 0)?;
-        }
-        let wal_size = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-        self.durability = Some(Durability {
-            store_path,
-            version: FORMAT_VERSION,
-            wal_path,
-            schema_fp,
-            last_seq: 0,
-            wal_size,
-        });
-        Ok(())
     }
 
     /// Append a batch of rows. The batch is committed to the WAL (fsync'd)
@@ -520,13 +529,15 @@ impl IncrStore {
         };
 
         let start = self.relation.num_rows();
-        for row in &rows {
-            self.relation.push_row(row.clone()).expect("arity validated");
-        }
         let appended_rows = rows.len();
-        self.delta_rows.extend(rows);
+        for row in rows {
+            self.relation.push_row(row).expect("arity validated");
+        }
 
-        let touched_fragments = self.ingest_range(start)?;
+        let mut touched_fragments = 0usize;
+        for gs in &mut self.groups {
+            touched_fragments += gs.ingest(&self.relation, start, &self.cfg.thresholds)?;
+        }
         cape_obs::counter_add("incr.fragments_revalidated", touched_fragments as u64);
         self.store = Arc::new(self.regenerate());
 
@@ -559,23 +570,22 @@ impl IncrStore {
     /// from, then rewrite the WAL as one consolidated record with the
     /// compaction watermark advanced to the last committed sequence
     /// number. A version 2 file keeps embedding the *base* relation (the
-    /// live one minus [`delta_rows`](Self::delta_rows)), since the WAL
-    /// still replays the delta over it. A crash between the two writes
-    /// leaves a newer snapshot with an older watermark — recovery simply
-    /// replays the full WAL over the base relation, which is correct
-    /// (rows never double-apply) just not yet compacted.
+    /// live one without the appended rows), since the WAL still replays
+    /// the delta over it. A crash between the two writes leaves a newer
+    /// snapshot with an older watermark — recovery simply replays the
+    /// full WAL over the base relation, which is correct (rows never
+    /// double-apply) just not yet compacted.
     pub fn compact(&mut self) -> Result<(), IncrError> {
+        let delta = self.delta_rows();
         let Some(d) = &mut self.durability else { return Err(IncrError::NotDurable) };
         let schema = self.relation.schema();
         if d.version == FORMAT_VERSION_V2 {
-            let base_rows: Vec<usize> =
-                (0..self.relation.num_rows() - self.delta_rows.len()).collect();
-            let base = self.relation.take(&base_rows);
+            let base = self.relation.take(&(0..self.base_rows).collect::<Vec<_>>());
             save_snapshot_v2(&d.store_path, schema, &self.cfg, &self.store, &base)?;
         } else {
             save_snapshot(&d.store_path, schema, &self.cfg, &self.store)?;
         }
-        let size = wal::write_compacted(&d.wal_path, d.schema_fp, d.last_seq, &self.delta_rows)?;
+        let size = wal::write_compacted(&d.wal_path, d.schema_fp, d.last_seq, &delta)?;
         d.wal_size = size;
         cape_obs::counter_add("incr.compactions", 1);
         Ok(())
@@ -593,11 +603,6 @@ impl IncrStore {
         Arc::clone(&self.store)
     }
 
-    /// The mining configuration the store is maintained under.
-    pub fn config(&self) -> &MiningConfig {
-        &self.cfg
-    }
-
     /// Last committed WAL sequence number (`None` for in-memory stores).
     pub fn wal_seq(&self) -> Option<u64> {
         self.durability.as_ref().map(|d| d.last_seq)
@@ -613,19 +618,10 @@ impl IncrStore {
         self.durability.as_ref().map(|d| d.wal_size)
     }
 
-    /// Rows appended since the base relation (the WAL's logical content).
-    pub fn delta_rows(&self) -> &[Vec<Value>] {
-        &self.delta_rows
-    }
-
-    fn ingest_range(&mut self, start: usize) -> Result<usize, IncrError> {
-        let relation = &self.relation;
-        let thresholds = &self.cfg.thresholds;
-        let mut touched = 0usize;
-        for gs in &mut self.groups {
-            touched += gs.ingest(relation, start, thresholds)?;
-        }
-        Ok(touched)
+    /// Rows appended since the base relation (the WAL's logical content),
+    /// read back from the live relation.
+    fn delta_rows(&self) -> Vec<Vec<Value>> {
+        (self.base_rows..self.relation.num_rows()).map(|i| self.relation.row(i)).collect()
     }
 
     /// Derive the pattern store from the live local patterns, in the
@@ -637,12 +633,10 @@ impl IncrStore {
         let th = &self.cfg.thresholds;
         let mut store = PatternStore::new();
         for gs in &self.groups {
-            if gs.splits.is_empty() || gs.grouped.is_empty() {
-                continue;
-            }
-            // Fresh per-group data shared by this group's instances; old
-            // epochs keep their own Arc (snapshot isolation).
-            let gd = Arc::new(GroupData::from_parts(gs.g.clone(), gs.grouped.clone(), &gs.aggs));
+            // A copy of the group set's data, made once its first instance
+            // holds and shared by all of them; old epochs keep their own
+            // (snapshot isolation).
+            let mut gd: Option<Arc<GroupData>> = None;
             for sp in &gs.splits {
                 if sp.supported == 0 {
                     continue;
@@ -663,7 +657,8 @@ impl IncrStore {
                             confidence,
                             num_supported: sp.supported,
                         };
-                        store.push(make_instance(arp, Arc::clone(&gd), cand.agg_col, outcome));
+                        let gd = gd.get_or_insert_with(|| Arc::new(gs.data.clone()));
+                        store.push(make_instance(arp, Arc::clone(gd), cand.agg_col, outcome));
                     }
                 }
             }
@@ -708,9 +703,9 @@ fn validate_row(schema: &Schema, row: &[Value]) -> Result<(), RowError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Thresholds;
     use crate::mining::share_grp::tests::pubs;
     use crate::mining::{Miner, ShareGrpMiner};
+    use crate::snapshot::FORMAT_VERSION;
 
     fn lenient_cfg() -> MiningConfig {
         MiningConfig {
@@ -820,8 +815,15 @@ mod tests {
     #[test]
     fn fd_pruning_rejected() {
         let rel = pubs(3, 4, 1);
-        let cfg = MiningConfig { fd_pruning: true, ..lenient_cfg() };
-        assert!(matches!(IncrStore::build(rel, cfg), Err(IncrError::Config(_))));
+        let fd = MiningConfig { fd_pruning: true, ..lenient_cfg() };
+        // A stored mean does not determine its sum, so avg cannot resume.
+        let avg = MiningConfig {
+            aggs: AggSelection::Explicit(vec![(AggFunc::Count, None), (AggFunc::Avg, Some(1))]),
+            ..lenient_cfg()
+        };
+        for cfg in [fd, avg] {
+            assert!(matches!(IncrStore::build(rel.clone(), cfg), Err(IncrError::Config(_))));
+        }
     }
 
     #[test]
@@ -916,7 +918,7 @@ mod tests {
             let on_disk = std::fs::metadata(incr.wal_path().unwrap()).unwrap().len();
             assert_eq!(Some(on_disk), incr.wal_size(), "tracked size matches disk");
             let compacted_floor =
-                wal::encode_header(0, 0).len() as u64 + compacted_record_len(incr.delta_rows());
+                wal::encode_header(0, 0).len() as u64 + compacted_record_len(&incr.delta_rows());
             max_excess = max_excess.max(on_disk.saturating_sub(compacted_floor));
         }
         assert!(compactions >= 2, "sustained appends must compact repeatedly ({compactions})");

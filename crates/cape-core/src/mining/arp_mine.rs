@@ -59,7 +59,7 @@ impl Miner for ArpMiner {
                 }
 
                 explore_sort_orders(rel, cfg, &gd, &g, &fds, &mut store)?;
-                gd.clear_sort_cache();
+                gd.clear_caches();
             }
 
             Ok((store, fds))

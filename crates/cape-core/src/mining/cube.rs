@@ -76,7 +76,7 @@ impl Miner for CubeMiner {
                 for split in splits_of(g) {
                     mine_split(rel, cfg, &gd, &split, &aggs, &mut stores[i])?;
                 }
-                gd.clear_sort_cache();
+                gd.clear_caches();
             }
 
             let mut store = PatternStore::new();

@@ -118,7 +118,7 @@ impl Miner for ParallelMiner {
                             if !aggs.is_empty() {
                                 let gd = materialize_group(rel, g, &aggs, lattice)?;
                                 explore_sort_orders(rel, cfg, &gd, g, fds, &mut store)?;
-                                gd.clear_sort_cache();
+                                gd.clear_caches();
                             }
                             out.push(Slice { index: i, store });
                         }

@@ -46,7 +46,7 @@ impl Miner for ShareGrpMiner {
                 for split in splits_of(g) {
                     mine_split(rel, cfg, &gd, &split, &aggs, &mut slices[i])?;
                 }
-                gd.clear_sort_cache();
+                gd.clear_caches();
             }
 
             let mut store = PatternStore::new();

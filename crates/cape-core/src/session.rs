@@ -115,12 +115,6 @@ impl CapeSession {
         self
     }
 
-    /// Replace the distance model.
-    pub fn with_distance(mut self, distance: crate::explain::DistanceModel) -> Self {
-        self.explain_cfg.distance = distance;
-        self
-    }
-
     /// Select the explanation algorithm.
     pub fn with_algo(mut self, algo: ExplainAlgo) -> Self {
         self.algo = algo;

@@ -3,10 +3,13 @@
 //! NULLs, NaN, −0.0 and repeated values — the maintained store must equal
 //! a SHARE-GRP mine of the same rows: the same ARPs in the same order,
 //! the same supports and confidences, and every local's fit, goodness of
-//! fit and deviation bounds to 1e-9.
+//! fit and deviation bounds to 1e-9. It must also encode to the same
+//! snapshot bytes as an `IncrStore` built over those rows, so the
+//! kernel build and the append's row fold cannot drift apart.
 
 use cape_core::config::AggSelection;
 use cape_core::mining::{Miner, ShareGrpMiner};
+use cape_core::snapshot::encode_snapshot;
 use cape_core::store::PatternStore;
 use cape_core::{Arp, IncrStore, LocalPattern, MiningConfig, Thresholds};
 use cape_data::{AggFunc, Relation, Schema, Value, ValueType};
@@ -120,16 +123,15 @@ fn assert_same_store(incr: &PatternStore, mined: &PatternStore, ctx: &str) {
 
 /// Build over `rows[..cut]`, append the rest in batches of `sizes`
 /// (cycled), and compare against a mine of the rows so far after the
-/// build and after every append. Returns the maintained store after
-/// each step.
+/// build and after every append — and, after every append, against the
+/// snapshot bytes of a build over the rows so far. Returns the
+/// maintained store after each step.
 fn check_appends(rows: &[Vec<Value>], cut: usize, sizes: &[usize]) -> Vec<PatternStore> {
     let cfg = cfg();
-    let mine = |n: usize| {
-        let rel = Relation::from_rows(schema(), rows[..n].iter().cloned()).unwrap();
-        ShareGrpMiner.mine(&rel, &cfg).unwrap().store
-    };
-    let base = Relation::from_rows(schema(), rows[..cut].iter().cloned()).unwrap();
-    let mut incr = IncrStore::build(base, cfg.clone()).unwrap();
+    let rel = |n: usize| Relation::from_rows(schema(), rows[..n].iter().cloned()).unwrap();
+    let mine = |n: usize| ShareGrpMiner.mine(&rel(n), &cfg).unwrap().store;
+    let bytes = |store: &PatternStore| encode_snapshot(&schema(), &cfg, store);
+    let mut incr = IncrStore::build(rel(cut), cfg.clone()).unwrap();
     assert_same_store(&incr.store(), &mine(cut), "build");
     let mut stores = vec![(*incr.store()).clone()];
     let mut at = cut;
@@ -141,6 +143,11 @@ fn check_appends(rows: &[Vec<Value>], cut: usize, sizes: &[usize]) -> Vec<Patter
         incr.append(rows[at..end].to_vec()).unwrap();
         at = end;
         assert_same_store(&incr.store(), &mine(at), &format!("append up to row {at}"));
+        let built = IncrStore::build(rel(at), cfg.clone()).unwrap();
+        assert!(
+            bytes(&incr.store()) == bytes(&built.store()),
+            "append up to row {at}: the maintained store's bytes differ from a build's"
+        );
         stores.push((*incr.store()).clone());
     }
     stores

@@ -111,6 +111,23 @@ impl Accumulator {
         }
     }
 
+    /// Resume the fold whose [`finish`](Self::finish) was `stored`, as a
+    /// grouped relation's aggregate column keeps it: folding further
+    /// inputs then gives, bit for bit once stored, what one fold of all
+    /// of them gives. `None` for `avg`, whose stored mean does not
+    /// determine its running sum, and for a value `finish` cannot return.
+    pub fn resume(func: AggFunc, stored: &Value) -> Option<Self> {
+        match (func, stored) {
+            (AggFunc::Count, Value::Int(n)) => u64::try_from(*n).ok().map(Accumulator::Count),
+            (AggFunc::Sum, Value::Float(s)) => Some(Accumulator::Sum(*s)),
+            (AggFunc::Min, Value::Null) => Some(Accumulator::Min(None)),
+            (AggFunc::Min, Value::Float(m)) => Some(Accumulator::Min(Some(*m))),
+            (AggFunc::Max, Value::Null) => Some(Accumulator::Max(None)),
+            (AggFunc::Max, Value::Float(m)) => Some(Accumulator::Max(Some(*m))),
+            _ => None,
+        }
+    }
+
     /// Fold in one input value. `value` is `None` for `count(*)`.
     /// `Null` inputs are skipped for value aggregates (SQL semantics) but
     /// counted by `count(*)`.

@@ -724,14 +724,6 @@ impl Column {
         }
     }
 
-    /// The dictionary-coded view, when the column is a typed string slab.
-    pub fn str_view(&self) -> Option<&StrColumn> {
-        match self {
-            Column::Str(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Heap bytes of the column's payload (slab bytes; dictionaries and
     /// `Mixed` values estimated), for the bench's memory accounting.
     pub fn payload_bytes(&self) -> usize {

@@ -11,7 +11,7 @@ mod sort;
 
 #[doc(hidden)]
 pub use aggregate::aggregate_with_row_count_unpacked;
-pub use aggregate::{aggregate, aggregate_with_row_count, grouped_output_schema, GroupByResult};
+pub use aggregate::{aggregate, aggregate_with_row_count, GroupByResult};
 pub use cube::{cube, CubeSlice};
 #[doc(hidden)]
 pub use group_index::group_key_index_unpacked;

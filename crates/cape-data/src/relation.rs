@@ -114,7 +114,7 @@ impl Relation {
     }
 
     /// Overwrite a single cell in place. Used by incremental maintenance
-    /// to refresh aggregate outputs of an existing grouped row without
+    /// to fold appended rows into a grouped row's aggregate cells without
     /// rebuilding the relation.
     pub fn set_value(&mut self, row: usize, col: AttrId, v: Value) {
         self.columns[col].set(row, v);

@@ -1,5 +1,6 @@
 //! Property-based tests of the relational operators.
 
+use cape_data::agg::Accumulator;
 use cape_data::ops::{
     aggregate, aggregate_with_row_count, cube, distinct, distinct_project, project, rows_matching,
     select, sort_by, sort_perm, sorted_block_starts,
@@ -446,5 +447,82 @@ proptest! {
                 prop_assert_eq!(attr_range(&r, c).unwrap().map(f64::to_bits), want, "column {}", c);
             }
         }
+    }
+}
+
+/// Aggregate inputs of one type: NULL or an Int, or NULL or a Float that
+/// may be NaN, −0.0 or infinite.
+fn arb_agg_inputs() -> impl Strategy<Value = Vec<Value>> {
+    let float = [f64::NAN, -0.0, 0.0, 1.25, -3.5, f64::INFINITY, 1e300];
+    (0u8..2, proptest::collection::vec((0u8..5, -4i64..6, 0usize..7), 0..24)).prop_map(
+        move |(ty, cells)| {
+            cells
+                .into_iter()
+                .map(|(kind, i, f)| match kind {
+                    0 => Value::Null,
+                    _ if ty == 0 => Value::Int(i),
+                    _ => Value::Float(float[f]),
+                })
+                .collect()
+        },
+    )
+}
+
+/// `v` as a grouped relation's aggregate column keeps it: an Int column
+/// for count, a Float column otherwise.
+fn stored(func: AggFunc, v: Value) -> Value {
+    let ty = if func == AggFunc::Count { ValueType::Int } else { ValueType::Float };
+    let schema = Schema::new([("agg", ty)]).unwrap();
+    Relation::from_rows(schema, [vec![v]]).unwrap().value(0, 0)
+}
+
+/// A stored aggregate's exact bits.
+fn bits(v: &Value) -> (u8, u64) {
+    match v {
+        Value::Null => (0, 0),
+        Value::Int(i) => (1, *i as u64),
+        Value::Float(f) => (2, f.to_bits()),
+        Value::Str(_) => unreachable!("aggregates are numeric"),
+    }
+}
+
+proptest! {
+    /// Folding a prefix, storing its `finish()`, resuming from the stored
+    /// value and folding the suffix gives one fold of everything, bit for
+    /// bit once stored — the exactness incremental maintenance rests on.
+    /// A stored mean cannot resume.
+    #[test]
+    fn resumed_fold_equals_one_fold(inputs in arb_agg_inputs(), cut in 0usize..24) {
+        let cut = cut.min(inputs.len());
+        let calls = [
+            (AggFunc::Count, true),
+            (AggFunc::Count, false),
+            (AggFunc::Sum, false),
+            (AggFunc::Min, false),
+            (AggFunc::Max, false),
+        ];
+        for (func, star) in calls {
+            let fold = |acc: &mut Accumulator, values: &[Value]| {
+                for v in values {
+                    acc.update((!star).then_some(v)).unwrap();
+                }
+            };
+            let mut whole = Accumulator::new(func);
+            fold(&mut whole, &inputs);
+            let mut prefix = Accumulator::new(func);
+            fold(&mut prefix, &inputs[..cut]);
+            let mut resumed = Accumulator::resume(func, &stored(func, prefix.finish())).unwrap();
+            fold(&mut resumed, &inputs[cut..]);
+            prop_assert_eq!(
+                bits(&stored(func, resumed.finish())),
+                bits(&stored(func, whole.finish())),
+                "{}(star: {}) cut at {}", func, star, cut
+            );
+        }
+        let mut avg = Accumulator::new(AggFunc::Avg);
+        for v in &inputs[..cut] {
+            avg.update(Some(v)).unwrap();
+        }
+        prop_assert!(Accumulator::resume(AggFunc::Avg, &stored(AggFunc::Avg, avg.finish())).is_none());
     }
 }

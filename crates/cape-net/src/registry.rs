@@ -145,11 +145,6 @@ impl StoreSlot {
         &self.relation
     }
 
-    /// Whether the slot accepts [`append_rows`](Self::append_rows).
-    pub fn is_incremental(&self) -> bool {
-        self.incr.lock().expect("incr lock").is_some()
-    }
-
     /// The current epoch. Cloning the returned `Arc` is the *only*
     /// synchronization a request performs; the lock is held just long
     /// enough to clone.

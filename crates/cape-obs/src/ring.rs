@@ -16,7 +16,7 @@
 use crate::json::Json;
 use crate::snapshot::SpanNode;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// The closed-loop record of one completed request.
@@ -67,7 +67,7 @@ struct FlightInner {
 pub struct FlightRecorder {
     inner: Mutex<FlightInner>,
     enabled: AtomicBool,
-    threshold_ns: AtomicU64,
+    threshold_ns: u64,
     ring_capacity: usize,
     slow_capacity: usize,
 }
@@ -106,7 +106,7 @@ impl FlightRecorder {
                 recorded: 0,
             }),
             enabled: AtomicBool::new(true),
-            threshold_ns: AtomicU64::new(threshold_ns),
+            threshold_ns,
             ring_capacity,
             slow_capacity,
         }
@@ -123,14 +123,9 @@ impl FlightRecorder {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Set the slow-capture latency threshold.
-    pub fn set_threshold_ns(&self, threshold_ns: u64) {
-        self.threshold_ns.store(threshold_ns, Ordering::Relaxed);
-    }
-
     /// The slow-capture latency threshold.
     pub fn threshold_ns(&self) -> u64 {
-        self.threshold_ns.load(Ordering::Relaxed)
+        self.threshold_ns
     }
 
     /// Record one completed request. `spans` is the request's span tree;

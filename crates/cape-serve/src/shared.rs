@@ -39,13 +39,6 @@ impl PatternStoreHandle {
         Arc::clone(&self.relation)
     }
 
-    /// The store's shared ownership handle (see [`relation_arc`]).
-    ///
-    /// [`relation_arc`]: PatternStoreHandle::relation_arc
-    pub fn store_arc(&self) -> Arc<PatternStore> {
-        Arc::clone(&self.store)
-    }
-
     /// The mined pattern store.
     pub fn store(&self) -> &PatternStore {
         &self.store
