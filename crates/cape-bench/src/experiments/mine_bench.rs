@@ -1,6 +1,7 @@
-//! Mining benchmark: wall-clock and per-stage times for the optimized
-//! miner variants (lattice roll-up, the sort-permutation cache, and the
-//! batched columnar fit path — all always on) at DBLP and Crime scales.
+//! Mining benchmark: wall-clock and per-stage times for the paper's
+//! miner variants — SHARE-GRP (one group-by per `F ∪ V`, one sort per
+//! `(F, V)`), CUBE (one cube query), ARP-MINE (sort-order sharing) and
+//! its parallel form — at DBLP and Crime scales.
 //! Each configuration is mined [`REPS`] times and the fastest run is
 //! reported, so `bench-diff` trajectories compare capability rather than
 //! scheduler luck. Results are written to `results/BENCH_mine.json` in
@@ -60,9 +61,6 @@ struct Run {
     patterns: usize,
     group_queries: usize,
     sort_queries: usize,
-    rollup_hits: usize,
-    sort_cache_hits: usize,
-    scan_rows_saved: usize,
 }
 
 fn run_once(miner: &dyn Miner, rel: &Relation, cfg: &MiningConfig) -> Run {
@@ -79,9 +77,6 @@ fn run_once(miner: &dyn Miner, rel: &Relation, cfg: &MiningConfig) -> Run {
         patterns: out.store.len(),
         group_queries: s.group_queries,
         sort_queries: s.sort_queries,
-        rollup_hits: s.rollup_hits,
-        sort_cache_hits: s.sort_cache_hits,
-        scan_rows_saved: s.scan_rows_saved,
     }
 }
 
@@ -129,9 +124,6 @@ fn run_json(label: &str, r: &Run, with_stages: bool) -> (String, Json) {
         ("patterns".into(), Json::Num(r.patterns as f64)),
         ("group_queries".into(), Json::Num(r.group_queries as f64)),
         ("sort_queries".into(), Json::Num(r.sort_queries as f64)),
-        ("rollup_hits".into(), Json::Num(r.rollup_hits as f64)),
-        ("sort_cache_hits".into(), Json::Num(r.sort_cache_hits as f64)),
-        ("scan_rows_saved".into(), Json::Num(r.scan_rows_saved as f64)),
     ]);
     (label.into(), Json::Obj(fields))
 }
@@ -159,9 +151,8 @@ pub fn mine_bench(scale: Scale) -> String {
             for (name, miner) in miners() {
                 let run = best_run(miner.as_ref(), &rel, &cfg);
                 eprintln!(
-                    "  mine-bench: {dataset}/{rows} {name}: {:.3}s (rollup hits {}, sort-cache \
-                     hits {}, rows saved {})",
-                    run.wall_s, run.rollup_hits, run.sort_cache_hits, run.scan_rows_saved,
+                    "  mine-bench: {dataset}/{rows} {name}: {:.3}s ({} group queries, {} sorts)",
+                    run.wall_s, run.group_queries, run.sort_queries,
                 );
                 walls.push(Some(run.wall_s));
                 entries.push(Json::Obj(vec![

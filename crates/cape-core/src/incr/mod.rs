@@ -212,14 +212,15 @@ impl SplitState {
             frags,
             supported,
         };
-        sp.refit(grouped, 0..sp.frags.len(), thresholds);
+        // The live maps are empty: fit straight into them.
+        sp.fit(grouped, 0..sp.frags.len(), thresholds);
         sp
     }
 
-    /// Refit fragments `frag_ids` over `grouped` with the batch miners'
-    /// fitter. A refit replaces those fragments' entries and leaves every
-    /// other entry, and the epochs that share it, alone.
-    fn refit(
+    /// Fit fragments `frag_ids` over `grouped` with the batch miners'
+    /// fitter, inserting each holding local into its candidate's live
+    /// map. The maps must hold no entry for these fragments.
+    fn fit(
         &mut self,
         grouped: &Relation,
         frag_ids: impl IntoIterator<Item = usize>,
@@ -229,9 +230,6 @@ impl SplitState {
         let mut fitter = FragmentFitter::new(grouped, v_cols, candidates, thresholds);
         for fi in frag_ids {
             let frag = &frags[fi];
-            for cand_locals in locals.iter_mut() {
-                cand_locals.remove(&frag.key);
-            }
             if frag.slots.len() >= thresholds.delta {
                 fitter.fit(&frag.slots, |ci, local| {
                     locals[ci].insert(Arc::clone(&frag.key), Arc::new(local));
@@ -239,14 +237,26 @@ impl SplitState {
             }
         }
     }
+
+    /// Refit the fragments an append touched: drop their entries, then
+    /// fit them again. Every other entry, and the epochs that share it,
+    /// is left alone.
+    fn refit(&mut self, grouped: &Relation, frag_ids: &[usize], thresholds: &Thresholds) {
+        for &fi in frag_ids {
+            let key = &self.frags[fi].key;
+            for cand_locals in &mut self.locals {
+                cand_locals.remove(key);
+            }
+        }
+        self.fit(grouped, frag_ids.iter().copied(), thresholds);
+    }
 }
 
 /// One group set `G`: its aggregation — the only copy of each group's
 /// aggregates and row count — the index from a group's `G` values to
 /// its grouped row, and its splits.
 struct GroupState {
-    /// Appends fold into `data.relation` in place; nothing sorts or ranks
-    /// it, so no cached order can go stale.
+    /// Appends fold into `data.relation` in place.
     data: GroupData,
     aggs: Vec<(AggFunc, Option<AttrId>)>,
     index: HashMap<Vec<Value>, usize>,
@@ -359,7 +369,7 @@ impl GroupState {
             touched_frags.sort_unstable();
             touched_frags.dedup();
             touched_frags_total += touched_frags.len();
-            sp.refit(grouped, touched_frags, thresholds);
+            sp.refit(grouped, &touched_frags, thresholds);
         }
         Ok(touched_frags_total)
     }

@@ -6,6 +6,7 @@ use crate::error::Result;
 use crate::group_data::GroupData;
 use crate::mining::candidates::{group_sets, splits_of, Split};
 use crate::mining::fit::fit_split;
+use crate::mining::rank_sort::{rank_columns, rank_sort_perm, ColRanks};
 use crate::mining::share_grp::build_candidates;
 use crate::mining::{make_instance, record_mining_run, validate_config, Miner, MiningOutput};
 use crate::pattern::Arp;
@@ -59,7 +60,6 @@ impl Miner for ArpMiner {
                 }
 
                 explore_sort_orders(rel, cfg, &gd, &g, &fds, &mut store)?;
-                gd.clear_caches();
             }
 
             Ok((store, fds))
@@ -83,6 +83,9 @@ pub(crate) fn explore_sort_orders(
     store: &mut PatternStore,
 ) -> Result<()> {
     let aggs = cfg.resolve_aggs(rel, g);
+    // The group-by columns' ranks, taken at the first sort and shared by
+    // the rest.
+    let mut ranks: Option<Vec<ColRanks>> = None;
     let mut covered: HashSet<Vec<AttrId>> = HashSet::new(); // F sets (sorted)
     let mut found: HashMap<Vec<AttrId>, Vec<PatternInstance>> = HashMap::new(); // by F
 
@@ -113,16 +116,12 @@ pub(crate) fn explore_sort_orders(
             continue; // nothing new — skip the sort entirely (line 2 of Alg. 5)
         }
 
-        // One sort order covers every prefix split of this permutation; a
-        // cached permutation whose prefixes match each needed F as a set
-        // (from another permutation of G, or a prior mine_split) serves
-        // without re-sorting. `sort_queries` still counts the logical
-        // request, as in the paper's cost model.
+        // One sort order covers every prefix split of this permutation.
         let perm_cols: Vec<usize> =
             perm.iter().map(|&a| gd.col_of_attr(a).expect("attr in G")).collect();
         cape_obs::counter_add("mining.sort_queries", 1);
-        let prefix_lens: Vec<usize> = new_fs.iter().map(|f| f.len()).collect();
-        let sort_perm = gd.sort_perm_covering(&perm_cols, &prefix_lens);
+        let ranks = ranks.get_or_insert_with(|| rank_columns(&gd.relation, g.len()));
+        let sort_perm = rank_sort_perm(ranks, &perm_cols);
 
         for f in new_fs {
             covered.insert(f.clone());

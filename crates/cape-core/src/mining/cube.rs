@@ -1,28 +1,24 @@
 //! CUBE mining: a single cube query materializes the data for every
 //! pattern candidate (paper §4.1, "Using the CUBE BY operator").
 //!
-//! Fidelity note: the paper's SQL CUBE computes *all* groupings and
-//! filters with `GROUPING()`. Our cube scan builds only the maximal
-//! groupings — every attribute subset of size `min(ψ, |attrs|)` — and
-//! derives each smaller grouping from them by lattice roll-up (falling
-//! back to a base scan when no cached parent is cheap enough). The
-//! characteristic CUBE cost — one scan maintaining every maximal
-//! grouping's hash table simultaneously, including the aggregates that
-//! are invalid for a particular grouping — is preserved, and the
-//! benchmark still shows CUBE's growing overhead with the attribute
-//! count.
+//! The paper's SQL runs one `CUBE BY` over the candidate attributes and
+//! keeps the groupings of size 2..ψ with a `GROUPING()` filter. Our cube
+//! scan builds exactly those groupings in one pass over the base
+//! relation, maintaining every grouping's hash table at once and
+//! computing the union of all aggregate calls for each of them,
+//! including those invalid for a particular grouping (`A ∈ G`), which
+//! are computed and discarded as in SQL. Each grouping is then mined
+//! like SHARE-GRP's group set: one sort per `(F, V)` split.
 
 use crate::config::{AggSelection, MiningConfig};
 use crate::error::Result;
 use crate::group_data::GroupData;
-use crate::mining::candidates::{group_sets, splits_of};
-use crate::mining::rollup::{materialize_group, plan_order, LatticeRollup};
-use crate::mining::share_grp::mine_split;
+use crate::mining::share_grp::mine_group_set;
 use crate::mining::{record_mining_run, validate_config, Miner, MiningOutput};
 use crate::store::PatternStore;
 use cape_data::ops::cube;
 use cape_data::{AggFunc, AggSpec, AttrId, Relation};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The CUBE miner.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,53 +33,27 @@ impl Miner for CubeMiner {
         validate_config(cfg)?;
         record_mining_run(|| {
             let attrs = cfg.candidate_attrs(rel);
-
-            // The single cube query must evaluate the union of all aggregate
-            // calls any grouping needs (invalid combinations — A inside the
-            // grouping — are computed and discarded, as in SQL).
             let union_aggs = union_agg_list(rel, cfg);
             let specs: Vec<AggSpec> =
                 union_aggs.iter().map(|&(func, attr)| AggSpec { func, attr }).collect();
-
-            // Only the *maximal* groupings come from the cube scan; every
-            // smaller grouping derives from them through the lattice (the
-            // slices carry the full union aggregate list, so any child's
-            // aggregates compose).
-            let min_size = cfg.psi.min(attrs.len());
-            let slices = cube(rel, &attrs, min_size, cfg.psi, &specs)?;
+            // The groupings come in `group_sets` order: by size, then
+            // lexicographically.
+            let slices = cube(rel, &attrs, 2, cfg.psi, &specs)?;
             cape_obs::counter_add("mining.group_queries", 1); // one cube query
 
-            let lattice = Mutex::new(LatticeRollup::new(rel.num_rows()));
+            let mut store = PatternStore::new();
             for slice in slices {
-                let gd = Arc::new(GroupData::from_parts(slice.dims, slice.relation, &union_aggs));
-                lattice.lock().expect("lattice").insert(gd, specs.clone());
-            }
-
-            let gs = group_sets(&attrs, cfg.psi);
-            let mut stores: Vec<PatternStore> = gs.iter().map(|_| PatternStore::new()).collect();
-            for &i in &plan_order(&gs) {
-                let g = &gs[i];
                 // Only the aggregates valid for this grouping (A ∉ G).
                 let aggs: Vec<(AggFunc, Option<AttrId>)> = union_aggs
                     .iter()
-                    .filter(|(_, attr)| attr.is_none_or(|a| !g.contains(&a)))
+                    .filter(|(_, attr)| attr.is_none_or(|a| !slice.dims.contains(&a)))
                     .cloned()
                     .collect();
                 if aggs.is_empty() {
                     continue;
                 }
-                let gd = materialize_group(rel, g, &aggs, &lattice)?;
-                for split in splits_of(g) {
-                    mine_split(rel, cfg, &gd, &split, &aggs, &mut stores[i])?;
-                }
-                gd.clear_caches();
-            }
-
-            let mut store = PatternStore::new();
-            for slice in stores {
-                for (_, inst) in slice.iter() {
-                    store.push(inst.clone());
-                }
+                let gd = Arc::new(GroupData::from_parts(slice.dims, slice.relation, &union_aggs));
+                mine_group_set(rel, cfg, &gd, &aggs, &mut store);
             }
             Ok((store, cfg.initial_fds.clone()))
         })

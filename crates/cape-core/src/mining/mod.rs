@@ -7,7 +7,7 @@ pub mod cube;
 pub mod fit;
 pub mod naive;
 pub mod parallel;
-pub(crate) mod rollup;
+mod rank_sort;
 pub mod share_grp;
 mod stats;
 

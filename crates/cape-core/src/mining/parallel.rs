@@ -1,6 +1,6 @@
 //! Multi-threaded ARP mining: group-by sets are independent work units,
 //! so they parallelize across scoped threads pulling from a shared work
-//! queue (an atomic cursor over the planned visit order), which keeps
+//! queue (an atomic cursor over the group sets), which keeps
 //! workers busy on skewed lattices where static striping would idle them.
 //!
 //! Semantics match [`crate::mining::ArpMiner`] with one exception: FD
@@ -9,15 +9,15 @@
 //! needed — an inherently sequential dependency — so the parallel miner
 //! runs a cheap sequential cardinality pre-pass (distinct counts only)
 //! before fanning out, and then prunes with the discovered FDs exactly
-//! like the sequential miner. Group materialization goes through the
-//! shared [`LatticeRollup`], so children claimed after their parent was
-//! cached derive by roll-up instead of rescanning the base relation.
+//! like the sequential miner. Each claimed group set runs ARP-MINE's
+//! per-group-set body: one group-by query over the base relation, then
+//! ExploreSortOrders (Algorithm 5).
 
 use crate::config::MiningConfig;
 use crate::error::Result;
+use crate::group_data::GroupData;
 use crate::mining::arp_mine::explore_sort_orders;
 use crate::mining::candidates::group_sets;
-use crate::mining::rollup::{materialize_group, plan_order, LatticeRollup};
 use crate::mining::{record_mining_run, validate_config, Miner, MiningOutput};
 use crate::store::PatternStore;
 use cape_data::ops::distinct_project;
@@ -25,7 +25,7 @@ use cape_data::stats::attr_stats;
 use cape_data::{AttrId, FdDiscovery, Relation};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 
 /// A parallel ARP-MINE over `threads` worker threads
 /// (`0` = use the machine's available parallelism).
@@ -82,17 +82,15 @@ impl Miner for ParallelMiner {
             let fds = fds; // frozen; shared read-only below
 
             // Fan out over a shared work queue: an atomic cursor walks the
-            // planned visit order (parents first), so a worker stuck on a
-            // heavy group set never blocks the rest of the lattice. Each
-            // worker attaches the spawning thread's observability context
-            // so its spans and counters land in the same recorders.
+            // group sets, so a worker stuck on a heavy group set never
+            // blocks the rest of the lattice. Each worker attaches the
+            // spawning thread's observability context so its spans and
+            // counters land in the same recorders.
             struct Slice {
                 index: usize,
                 store: PatternStore,
             }
-            let order = plan_order(&gs);
             let cursor = AtomicUsize::new(0);
-            let lattice = Mutex::new(LatticeRollup::new(rel.num_rows()));
             let ctx = cape_obs::ThreadContext::capture();
             let results: Result<Vec<Vec<Slice>>> = std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(threads);
@@ -100,25 +98,19 @@ impl Miner for ParallelMiner {
                     let gs = &gs;
                     let fds = &fds;
                     let ctx = &ctx;
-                    let order = &order;
                     let cursor = &cursor;
-                    let lattice = &lattice;
                     handles.push(scope.spawn(move || -> Result<Vec<Slice>> {
                         let _obs = ctx.attach();
                         let mut out = Vec::new();
                         loop {
-                            let next = cursor.fetch_add(1, Ordering::Relaxed);
-                            if next >= order.len() {
-                                break;
-                            }
-                            let i = order[next];
-                            let g = &gs[i];
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(g) = gs.get(i) else { break };
                             let mut store = PatternStore::new();
                             let aggs = cfg.resolve_aggs(rel, g);
                             if !aggs.is_empty() {
-                                let gd = materialize_group(rel, g, &aggs, lattice)?;
+                                let gd = Arc::new(GroupData::compute(rel, g, &aggs)?);
+                                cape_obs::counter_add("mining.group_queries", 1);
                                 explore_sort_orders(rel, cfg, &gd, g, fds, &mut store)?;
-                                gd.clear_caches();
                             }
                             out.push(Slice { index: i, store });
                         }

@@ -10,12 +10,12 @@ use crate::error::Result;
 use crate::group_data::GroupData;
 use crate::mining::candidates::{group_sets, model_valid_for, splits_of, Split};
 use crate::mining::fit::{fit_split, SplitCandidate};
-use crate::mining::rollup::{materialize_group, plan_order, LatticeRollup};
+use crate::mining::rank_sort::{rank_columns, rank_sort_perm, ColRanks};
 use crate::mining::{make_instance, record_mining_run, validate_config, Miner, MiningOutput};
 use crate::pattern::Arp;
 use crate::store::PatternStore;
 use cape_data::{AggFunc, AttrId, Relation};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The SHARE-GRP miner.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,66 +29,61 @@ impl Miner for ShareGrpMiner {
     fn mine(&self, rel: &Relation, cfg: &MiningConfig) -> Result<MiningOutput> {
         validate_config(cfg)?;
         record_mining_run(|| {
-            let attrs = cfg.candidate_attrs(rel);
-            let gs = group_sets(&attrs, cfg.psi);
-            let lattice = Mutex::new(LatticeRollup::new(rel.num_rows()));
-
-            // Roll-up visits the lattice parents-first (decreasing size);
-            // per-set stores are merged back in candidate order.
-            let mut slices: Vec<PatternStore> = gs.iter().map(|_| PatternStore::new()).collect();
-            for &i in &plan_order(&gs) {
-                let g = &gs[i];
-                let aggs = cfg.resolve_aggs(rel, g);
+            let mut store = PatternStore::new();
+            for g in group_sets(&cfg.candidate_attrs(rel), cfg.psi) {
+                let aggs = cfg.resolve_aggs(rel, &g);
                 if aggs.is_empty() {
                     continue;
                 }
-                let gd = materialize_group(rel, g, &aggs, &lattice)?;
-                for split in splits_of(g) {
-                    mine_split(rel, cfg, &gd, &split, &aggs, &mut slices[i])?;
-                }
-                gd.clear_caches();
-            }
-
-            let mut store = PatternStore::new();
-            for slice in slices {
-                for (_, inst) in slice.iter() {
-                    store.push(inst.clone());
-                }
+                let gd = Arc::new(GroupData::compute(rel, &g, &aggs)?);
+                cape_obs::counter_add("mining.group_queries", 1);
+                mine_group_set(rel, cfg, &gd, &aggs, &mut store);
             }
             Ok((store, cfg.initial_fds.clone()))
         })
     }
 }
 
-/// Obtain a fragment-contiguous sort order for one `(F, V)` split of the
-/// shared aggregation and fit every `(agg, A, M)` candidate in one scan.
-/// Shared with the CUBE miner.
+/// Mine every `(F, V)` split of one materialized group set, one sort per
+/// split, each split's candidates fitted in one scan. Shared with the
+/// CUBE miner.
 ///
-/// The order is a permutation *view* over the shared [`GroupData`] — no
-/// sorted relation copy is materialized — served from the group's sort
-/// cache when a compatible order exists (any cached key sequence whose
-/// leading `|F|` columns equal `F` as a set keeps fragments contiguous).
-pub(crate) fn mine_split(
+/// Each sort is a permutation *view* over the shared [`GroupData`] — no
+/// sorted relation copy is materialized — computed from the group-by
+/// columns' ranks, which are taken once for the whole group set.
+pub(crate) fn mine_group_set(
     rel: &Relation,
     cfg: &MiningConfig,
     gd: &Arc<GroupData>,
+    aggs: &[(AggFunc, Option<AttrId>)],
+    store: &mut PatternStore,
+) {
+    let ranks = rank_columns(&gd.relation, gd.group_attrs.len());
+    for split in splits_of(&gd.group_attrs) {
+        mine_split(rel, cfg, gd, &ranks, &split, aggs, store);
+    }
+}
+
+/// Sort the group set for one `(F, V)` split (keys `F` then `V`) and fit
+/// every `(agg, A, M)` candidate in one scan of the sorted order.
+fn mine_split(
+    rel: &Relation,
+    cfg: &MiningConfig,
+    gd: &Arc<GroupData>,
+    ranks: &[ColRanks],
     split: &Split,
     aggs: &[(AggFunc, Option<AttrId>)],
     store: &mut PatternStore,
-) -> Result<()> {
-    let f_cols = gd.cols_of_attrs(&split.f).expect("F within G");
-    let v_cols = gd.cols_of_attrs(&split.v).expect("V within G");
-
+) {
     let candidates = build_candidates(rel, cfg, gd, split, aggs);
     if candidates.is_empty() {
-        return Ok(());
+        return;
     }
-
-    // `sort_queries` counts logical sort requests (the paper's cost
-    // model); cache hits/misses are reported separately.
+    let f_cols = gd.cols_of_attrs(&split.f).expect("F within G");
+    let v_cols = gd.cols_of_attrs(&split.v).expect("V within G");
     cape_obs::counter_add("mining.sort_queries", 1);
     let sort_keys: Vec<usize> = f_cols.iter().chain(&v_cols).copied().collect();
-    let perm = gd.sort_perm_covering(&sort_keys, &[f_cols.len()]);
+    let perm = rank_sort_perm(ranks, &sort_keys);
     let outcomes = fit_split(&gd.relation, &perm, &f_cols, &v_cols, &candidates, &cfg.thresholds);
     for (cand, outcome) in candidates.iter().zip(outcomes) {
         if let Some(outcome) = outcome {
@@ -102,7 +97,6 @@ pub(crate) fn mine_split(
             store.push(make_instance(arp, Arc::clone(gd), cand.agg_col, outcome));
         }
     }
-    Ok(())
 }
 
 /// Expand `(agg, A)` pairs × model types into [`SplitCandidate`]s, dropping

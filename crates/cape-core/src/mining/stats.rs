@@ -35,14 +35,6 @@ pub struct MiningStats {
     pub sort_queries: usize,
     /// Functional dependencies discovered from group cardinalities.
     pub fds_discovered: usize,
-    /// Group materializations served from the lattice roll-up cache
-    /// (exact hits + parent derivations) instead of a base scan.
-    pub rollup_hits: usize,
-    /// Sort requests served from a cached permutation.
-    pub sort_cache_hits: usize,
-    /// Base-relation rows *not* scanned thanks to roll-up and the sort
-    /// cache (the perf headline of the columnar mining kernels).
-    pub scan_rows_saved: usize,
 }
 
 impl MiningStats {
@@ -61,9 +53,6 @@ impl MiningStats {
             group_queries: c("mining.group_queries"),
             sort_queries: c("mining.sort_queries"),
             fds_discovered: c("mining.fds_discovered"),
-            rollup_hits: c("mining.rollup_hits"),
-            sort_cache_hits: c("mining.sort_cache_hits"),
-            scan_rows_saved: c("mining.scan_rows_saved"),
         }
     }
 

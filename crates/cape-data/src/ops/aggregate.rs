@@ -56,9 +56,8 @@ pub fn aggregate_with_row_count_unpacked(
 
 /// Output schema of `γ_{group, aggs}`: the projected group columns, one
 /// column per aggregate (`count` → Int, everything else → Float), and an
-/// optional trailing `__rows` Int column. Shared with the roll-up operator,
-/// so a grouped relation it derives is schema-identical to this
-/// operator's output.
+/// optional trailing `__rows` Int column. Shared with the cube operator,
+/// so each of its slices is schema-identical to this operator's output.
 pub(crate) fn grouped_output_schema(
     base: &Schema,
     group: &[AttrId],

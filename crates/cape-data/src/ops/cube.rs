@@ -9,9 +9,10 @@
 
 use crate::agg::{Accumulator, AggSpec};
 use crate::error::Result;
+use crate::ops::aggregate::grouped_output_schema;
 use crate::relation::Relation;
 use crate::schema::AttrId;
-use crate::value::{Value, ValueType};
+use crate::value::Value;
 use std::collections::HashMap;
 
 /// One grouping of the cube: the dimension subset and its aggregated slice.
@@ -89,22 +90,7 @@ pub fn cube(
     // Materialize each slice.
     let mut out = Vec::with_capacity(slices.len());
     for slice in slices {
-        let mut schema = rel.schema().project(&slice.dims)?;
-        for spec in aggs {
-            let attr_name = match spec.attr {
-                Some(a) => Some(rel.schema().attr(a)?.name().to_string()),
-                None => None,
-            };
-            schema.push(crate::schema::Attribute::new(
-                spec.output_name(attr_name.as_deref()),
-                match spec.func {
-                    crate::agg::AggFunc::Count => ValueType::Int,
-                    _ => ValueType::Float,
-                },
-            ))?;
-        }
-        schema.push(crate::schema::Attribute::new("__rows", ValueType::Int))?;
-
+        let schema = grouped_output_schema(rel.schema(), &slice.dims, aggs, true)?;
         let mut relation = Relation::with_capacity(schema, slice.keys.len());
         for (slot, key) in slice.keys.into_iter().enumerate() {
             let mut row = key;
@@ -159,6 +145,7 @@ mod tests {
     use super::*;
     use crate::agg::AggFunc;
     use crate::schema::Schema;
+    use crate::value::ValueType;
 
     fn rel() -> Relation {
         let schema =

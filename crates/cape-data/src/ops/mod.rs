@@ -1,11 +1,10 @@
-//! Relational operators: selection, projection, sorting, aggregation,
-//! CUBE, and roll-up derivation.
+//! Relational operators: selection, projection, sorting, aggregation
+//! and CUBE.
 
 mod aggregate;
 mod cube;
 mod group_index;
 mod project;
-mod rollup;
 mod select;
 mod sort;
 
@@ -17,6 +16,5 @@ pub use cube::{cube, CubeSlice};
 pub use group_index::group_key_index_unpacked;
 pub use group_index::{group_key_index, GroupKeyIndex};
 pub use project::{distinct, distinct_project, project};
-pub use rollup::{rollup_aggregate, rollup_supported};
 pub use select::{filter, rows_matching, select};
 pub use sort::{column_ranks, perm_block_starts, sort_by, sort_perm, sorted_block_starts};

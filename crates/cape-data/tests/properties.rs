@@ -168,9 +168,7 @@ proptest! {
 }
 
 mod kernel_properties {
-    use cape_data::ops::{
-        aggregate_with_row_count, aggregate_with_row_count_unpacked, rollup_aggregate,
-    };
+    use cape_data::ops::{aggregate_with_row_count, aggregate_with_row_count_unpacked};
     use cape_data::{AggFunc, AggSpec, Relation, Schema, Value, ValueType};
     use proptest::prelude::*;
 
@@ -247,41 +245,6 @@ mod kernel_properties {
             let packed = aggregate_with_row_count(&rel, &group, &specs).unwrap();
             let unpacked = aggregate_with_row_count_unpacked(&rel, &group, &specs).unwrap();
             prop_assert_eq!(&packed.relation, &unpacked.relation);
-        }
-
-        /// Rolling a parent aggregation up to a child group set equals
-        /// aggregating the base relation directly — including aggregates
-        /// over an attribute that is a *dimension* of the parent (derived
-        /// from the key and `__rows`), with all-integer data the match is
-        /// exact, not just within tolerance.
-        #[test]
-        fn rollup_matches_direct(rel in arb_nullable_relation(80)) {
-            let parent_dims = [0usize, 1];
-            let parent_specs = all_specs();
-            // Aggregates over parent dimension `num` derive from the key.
-            let child_extra = [
-                AggSpec::over(AggFunc::Sum, 1),
-                AggSpec::over(AggFunc::Min, 1),
-                AggSpec::over(AggFunc::Avg, 1),
-                AggSpec::over(AggFunc::Count, 1),
-            ];
-            let parent = aggregate_with_row_count(&rel, &parent_dims, &parent_specs).unwrap();
-            let mut child_specs = all_specs();
-            child_specs.extend(child_extra);
-            for child_dims in [&[0usize][..], &[1]] {
-                let rolled = rollup_aggregate(
-                    rel.schema(),
-                    &parent.relation,
-                    &parent_dims,
-                    &parent_specs,
-                    child_dims,
-                    &child_specs,
-                )
-                .unwrap();
-                let direct =
-                    aggregate_with_row_count(&rel, child_dims, &child_specs).unwrap();
-                prop_assert_eq!(&rolled.relation, &direct.relation);
-            }
         }
     }
 }

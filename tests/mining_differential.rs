@@ -2,8 +2,9 @@
 //! store of the paper's NAIVE miner (Algorithms 3–4), the oracle.
 //!
 //! For each input (synthetic DBLP and Crime samples, a repetitive
-//! relation on which the lattice kernels fire, and edge relations with
-//! zero rows or an all-NULL float column), assert that
+//! relation whose group sets are much smaller than the base relation,
+//! and edge relations with zero rows or an all-NULL float column),
+//! assert that
 //!
 //! * `ShareGrpMiner` (one query per `F ∪ V`),
 //! * `CubeMiner` (a single cube query),
@@ -15,16 +16,16 @@
 //! because top-k breaks exact score ties by pattern index — and that
 //! every local pattern agrees on its fitted model parameters, goodness
 //! of fit, support, and deviation bounds to 1e-9 — the tolerance
-//! absorbing float summation-order differences between roll-up
-//! derivation, the batched fit kernels, and NAIVE's per-fragment
-//! queries.
+//! absorbing float summation-order differences between the batched fit
+//! kernels and NAIVE's per-fragment queries.
 //!
-//! A tolerance cannot absorb a hold decision, so one more input puts a
-//! fragment's GoF within a few ulps of θ and shuffles its rows: every
-//! path must keep the same locals in every order.
+//! A tolerance cannot absorb a hold decision, so more inputs put a
+//! fragment's GoF within a few ulps of θ and shuffle its rows: every
+//! path must keep the same locals in every order. One more test checks
+//! that the miners issue the paper's queries (§4.1).
 
 use cape::core::config::{AggSelection, MiningConfig, Thresholds};
-use cape::core::mining::candidates::group_sets;
+use cape::core::mining::candidates::{group_sets, splits_of};
 use cape::core::mining::{ArpMiner, CubeMiner, Miner, NaiveMiner, ParallelMiner, ShareGrpMiner};
 use cape::core::{Arp, IncrStore, PatternStore};
 use cape::data::{AggFunc, Relation, Schema, Value, ValueType};
@@ -45,9 +46,8 @@ fn crime_sample() -> Relation {
 }
 
 /// A highly repetitive relation: the apex group-by (author × year ×
-/// venue) has far fewer groups than the base has rows, so the roll-up
-/// cost guard (parent ≤ 2/3 of the base row count) admits the apex as a
-/// roll-up source and the lattice kernels genuinely fire.
+/// venue) has far fewer groups than the base has rows, so every group
+/// set's fragments hold many grouped rows.
 fn repetitive_sample() -> Relation {
     let schema = Schema::new([
         ("author", ValueType::Str),
@@ -101,8 +101,7 @@ fn dblp_cfg() -> MiningConfig {
     MiningConfig {
         thresholds: Thresholds::new(0.15, 4, 0.3, 3),
         psi: 3,
-        // Sum/min/max over `year` exercise the non-count roll-up
-        // derivations inside the miners.
+        // Sum/min/max over `year` beside count(*).
         aggs: AggSelection::AllNumeric,
         exclude: vec![dblp::attrs::PUBID],
         ..MiningConfig::default()
@@ -297,47 +296,70 @@ fn edge_relations_match_naive() {
 const KNIFE_EDGE: [(i64, usize); 9] =
     [(3, 1), (4, 1), (5, 2), (6, 1), (7, 2), (8, 3), (9, 2), (10, 1), (11, 2)];
 
-/// The knife-edge fragment `k`, plus four fragments whose counts rise
-/// linearly with the month, so `[frag] : month ~Lin~> count(*)` holds
-/// globally whatever `k` decides.
-fn knife_edge_rows() -> Vec<Vec<Value>> {
+/// An integer affine image of the knife-edge points: month → a·month + b
+/// and count → c·count + d, with a, c ≥ 1. R² is invariant under both
+/// maps, so every image keeps the exact R² at 3/20 while its rounding
+/// differs.
+#[derive(Debug, Clone, Copy)]
+struct Affine {
+    a: i64,
+    b: i64,
+    c: usize,
+    d: usize,
+}
+
+/// The identity first, then images that stretch and shift both axes.
+const KNIFE_EDGE_IMAGES: [Affine; 6] = [
+    Affine { a: 1, b: 0, c: 1, d: 0 },
+    Affine { a: 2, b: 0, c: 1, d: 0 },
+    Affine { a: 1, b: 2000, c: 1, d: 0 },
+    Affine { a: 1, b: 0, c: 3, d: 0 },
+    Affine { a: 3, b: 1990, c: 2, d: 1 },
+    Affine { a: 12, b: -7, c: 5, d: 4 },
+];
+
+/// The image `t` of the knife-edge fragment `k`, plus four fragments
+/// whose counts rise linearly with the (mapped) month, so
+/// `[frag] : month ~Lin~> count(*)` holds globally whatever `k` decides.
+fn knife_edge_rows(t: Affine) -> Vec<Vec<Value>> {
     let mut rows = Vec::new();
     for (month, count) in KNIFE_EDGE {
-        for _ in 0..count {
-            rows.push(vec![Value::str("k"), Value::Int(month)]);
+        for _ in 0..t.c * count + t.d {
+            rows.push(vec![Value::str("k"), Value::Int(t.a * month + t.b)]);
         }
     }
     for c in 0..4 {
         for month in 3..12i64 {
             for _ in 0..month - 2 {
-                rows.push(vec![Value::str(format!("c{c}")), Value::Int(month)]);
+                rows.push(vec![Value::str(format!("c{c}")), Value::Int(t.a * month + t.b)]);
             }
         }
     }
     rows
 }
 
-/// R² of plain `fit` over the knife-edge points in the order their
+/// R² of plain `fit` over fragment `k`'s points in the order their
 /// months first appear in `rows` — the order a per-fragment retrieval
 /// query groups them in.
 fn first_appearance_r2(rows: &[Vec<Value>]) -> f64 {
-    let mut months: Vec<i64> = Vec::new();
+    let mut points: Vec<(i64, f64)> = Vec::new();
     for r in rows.iter().filter(|r| r[0] == Value::str("k")) {
         let Value::Int(m) = r[1] else { unreachable!("month is an Int") };
-        if !months.contains(&m) {
-            months.push(m);
+        match points.iter_mut().find(|(month, _)| *month == m) {
+            Some((_, count)) => *count += 1.0,
+            None => points.push((m, 1.0)),
         }
     }
-    let count = |m: i64| KNIFE_EDGE.iter().find(|(month, _)| *month == m).unwrap().1 as f64;
-    let xs: Vec<Vec<f64>> = months.iter().map(|&m| vec![m as f64]).collect();
-    let ys: Vec<f64> = months.iter().map(|&m| count(m)).collect();
+    let xs: Vec<Vec<f64>> = points.iter().map(|&(m, _)| vec![m as f64]).collect();
+    let ys: Vec<f64> = points.iter().map(|&(_, count)| count).collect();
     fit(ModelType::Lin, &xs, &ys).unwrap().gof
 }
 
 /// A GoF within a few ulps of θ is decided the same way by every path,
-/// in every row order: NAIVE, the batch miners, `IncrStore::build`, and
-/// an `IncrStore` fed the rows as a base plus appends all keep the same
-/// locals as NAIVE over the first order.
+/// in every row order of every affine image: NAIVE, the batch miners,
+/// `IncrStore::build`, and an `IncrStore` fed the rows as a base plus
+/// appends all keep the same locals as NAIVE over the image's first
+/// order.
 #[test]
 fn knife_edge_fit_is_decided_alike_in_every_order() {
     let schema = Schema::new([("frag", ValueType::Str), ("month", ValueType::Int)]).unwrap();
@@ -347,47 +369,67 @@ fn knife_edge_fit_is_decided_alike_in_every_order() {
         ..MiningConfig::default()
     };
     let arp = Arp::new([0], [1], AggFunc::Count, None, ModelType::Lin);
-    let mut reference = None;
     let mut plain_fit_holds = 0;
-    for seed in 0..24u64 {
-        let mut rows = knife_edge_rows();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for i in (1..rows.len()).rev() {
-            rows.swap(i, rng.gen_range(0..=i));
-        }
-        if first_appearance_r2(&rows) >= cfg.thresholds.theta {
-            plain_fit_holds += 1;
-        }
-        let rel = Relation::from_rows(schema.clone(), rows.clone()).unwrap();
-        let label = format!("knife-edge/seed {seed}");
-        let naive = NaiveMiner.mine(&rel, &cfg).unwrap().store;
-        assert!(naive.iter().any(|(_, p)| p.arp == arp), "{label}: the Lin pattern must hold");
-        let reference = reference.get_or_insert_with(|| canonicalize(&naive, &rel));
-        assert_equiv(reference, &naive, &rel, &format!("{label}/NAIVE"));
-        assert_optimized_paths_match(reference, &rel, &cfg, &label);
+    for image in KNIFE_EDGE_IMAGES {
+        let mut reference = None;
+        for seed in 0..24u64 {
+            let mut rows = knife_edge_rows(image);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for i in (1..rows.len()).rev() {
+                rows.swap(i, rng.gen_range(0..=i));
+            }
+            if first_appearance_r2(&rows) >= cfg.thresholds.theta {
+                plain_fit_holds += 1;
+            }
+            let rel = Relation::from_rows(schema.clone(), rows.clone()).unwrap();
+            let label = format!("knife-edge {image:?}/seed {seed}");
+            let naive = NaiveMiner.mine(&rel, &cfg).unwrap().store;
+            assert!(naive.iter().any(|(_, p)| p.arp == arp), "{label}: the Lin pattern must hold");
+            let reference = reference.get_or_insert_with(|| canonicalize(&naive, &rel));
+            assert_equiv(reference, &naive, &rel, &format!("{label}/NAIVE"));
+            assert_optimized_paths_match(reference, &rel, &cfg, &label);
 
-        let cut = rows.len() / 2;
-        let base = Relation::from_rows(schema.clone(), rows[..cut].to_vec()).unwrap();
-        let mut incr = IncrStore::build(base, cfg.clone()).unwrap();
-        incr.append(rows[cut..cut + 1].to_vec()).unwrap();
-        incr.append(rows[cut + 1..].to_vec()).unwrap();
-        assert_equiv(reference, &incr.store(), &rel, &format!("{label}/INCR-APPEND"));
+            let cut = rows.len() / 2;
+            let base = Relation::from_rows(schema.clone(), rows[..cut].to_vec()).unwrap();
+            let mut incr = IncrStore::build(base, cfg.clone()).unwrap();
+            incr.append(rows[cut..cut + 1].to_vec()).unwrap();
+            incr.append(rows[cut + 1..].to_vec()).unwrap();
+            assert_equiv(reference, &incr.store(), &rel, &format!("{label}/INCR-APPEND"));
+        }
     }
     assert!(plain_fit_holds > 0, "no tested order puts plain fit on the holding side of θ");
 }
 
-/// The kernels must actually fire on this workload — otherwise the
-/// differential grid never exercises roll-up derivation or cached sort
-/// orders.
+/// The miners issue the paper's queries (§4.1): SHARE-GRP, ARP-MINE and
+/// the parallel miner one group-by per group set, SHARE-GRP one sort per
+/// `(F, V)` split, and CUBE one cube query for every grouping. The
+/// group-bys run the packed group-id kernel.
 #[test]
-fn kernels_are_exercised() {
-    let rel = repetitive_sample();
-    let cfg = repetitive_cfg();
-    let out = ShareGrpMiner.mine(&rel, &cfg).unwrap();
-    assert!(out.stats.rollup_hits > 0, "roll-up never fired");
-    assert!(out.stats.sort_cache_hits > 0, "sort cache never hit");
-    assert!(out.stats.scan_rows_saved > 0, "no scan rows saved");
-    // Roll-up replaces base scans: fewer group queries than group sets.
-    let sets = group_sets(&cfg.candidate_attrs(&rel), cfg.psi).len();
-    assert!(out.stats.group_queries < sets, "{} queries for {sets} sets", out.stats.group_queries);
+fn miners_issue_the_papers_queries() {
+    let inputs = [
+        ("crime", crime_sample(), crime_cfg()),
+        ("repetitive", repetitive_sample(), repetitive_cfg()),
+    ];
+    for (dataset, rel, cfg) in inputs {
+        let sets = group_sets(&cfg.candidate_attrs(&rel), cfg.psi);
+        let splits: usize = sets.iter().map(|g| splits_of(g).len()).sum();
+        let per_set: Vec<(&str, Box<dyn Miner>)> = vec![
+            ("SHARE-GRP", Box::new(ShareGrpMiner)),
+            ("ARP-MINE", Box::new(ArpMiner)),
+            ("PAR-1", Box::new(ParallelMiner { threads: 1 })),
+            ("PAR-4", Box::new(ParallelMiner { threads: 4 })),
+        ];
+        for (name, miner) in per_set {
+            let out = miner.mine(&rel, &cfg).unwrap();
+            let label = format!("{dataset}/{name}");
+            assert_eq!(out.stats.group_queries, sets.len(), "{label}: one group-by per group set");
+            let packed = out.telemetry.counter("data.group_keys.packed");
+            assert!(packed > 0, "{label}: the packed group-id kernel never ran");
+            if name == "SHARE-GRP" {
+                assert_eq!(out.stats.sort_queries, splits, "{label}: one sort per split");
+            }
+        }
+        let cube = CubeMiner.mine(&rel, &cfg).unwrap();
+        assert_eq!(cube.stats.group_queries, 1, "{dataset}/CUBE: one cube query");
+    }
 }
