@@ -2,10 +2,11 @@
 //! (quick) / 1M (full) rows, then save a v2 snapshot and time the mmap
 //! cold-start relation load against a full owned decode.
 //!
-//! One run per dataset — at these row counts a mine is seconds to
-//! minutes, far above the scheduler-noise regime the smaller benches
-//! guard against with repetition, and the point of this experiment is
-//! that the pipeline *completes* at scale with the expected ratios:
+//! Each phase — mine, the explain grid, save, mmap load, owned decode — is
+//! timed [`REPS`] times and the fastest run is reported, as `mine-bench`
+//! and `store-bench` do: one run of each let the bench-diff gate at 25%
+//! trip on scheduler noise. The point of this experiment is that the
+//! pipeline *completes* at scale with the expected ratios:
 //!
 //! * `mine_columnar` — absolute mining times (wall, query, regression)
 //!   that `bench-diff` tracks against the committed baseline.
@@ -43,6 +44,26 @@ const QUESTIONS: usize = 8;
 /// Top-k for explanation generation.
 const TOP_K: usize = 10;
 
+/// Timed runs per phase; the per-metric minimum is reported.
+const REPS: usize = 3;
+
+/// Seconds of the fastest of [`REPS`] runs of `f`, with the first run's
+/// result (every run's result is the same). Later results are dropped
+/// after their run is timed.
+fn best_of<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best: Option<(f64, T)> = None;
+    for _ in 0..REPS {
+        let t0 = std::time::Instant::now();
+        let out = f();
+        let s = t0.elapsed().as_secs_f64();
+        best = Some(match best {
+            Some((b, first)) => (b.min(s), first),
+            None => (s, out),
+        });
+    }
+    best.expect("REPS > 0")
+}
+
 fn base_cfg(exclude: Vec<usize>) -> MiningConfig {
     MiningConfig {
         thresholds: cape_core::config::Thresholds::new(0.15, 4, 0.3, 3),
@@ -76,6 +97,19 @@ fn mine_once(rel: &Relation, cfg: &MiningConfig) -> MinePhase {
     }
 }
 
+/// Per-metric minimum over [`REPS`] mines; the store, pattern count and
+/// peak RSS come from the first (which faults its pages in fresh).
+fn best_mine(rel: &Relation, cfg: &MiningConfig) -> MinePhase {
+    let mut best = mine_once(rel, cfg);
+    for _ in 1..REPS {
+        let r = mine_once(rel, cfg);
+        best.wall_s = best.wall_s.min(r.wall_s);
+        best.query_s = best.query_s.min(r.query_s);
+        best.regress_s = best.regress_s.min(r.regress_s);
+    }
+    best
+}
+
 fn mine_json(m: &MinePhase) -> Json {
     let mut fields = vec![
         ("wall_s".into(), Json::Num(m.wall_s)),
@@ -102,18 +136,23 @@ fn run_dataset(
     // --- mine ----------------------------------------------------------
     let col_cfg = base_cfg(exclude);
     eprintln!("  scale-bench: {dataset}/{rows} mining ...");
-    let col = mine_once(&rel, &col_cfg);
+    let col = best_mine(&rel, &col_cfg);
     eprintln!("  scale-bench: {dataset}/{rows}: {:.2}s ({} patterns)", col.wall_s, col.patterns);
 
     // --- explain: the question grid against the columnar store --------
     let questions = generate_questions(&rel, question_attrs, QUESTIONS, seed);
     let ecfg = ExplainConfig::default_for(&rel, TOP_K);
-    let mut explain_s = 0.0;
+    let mut explain_s = f64::INFINITY;
     let mut answered = 0usize;
-    for q in &questions {
-        let (explanations, s) = OptimizedExplainer.explain(&col.out.store, q, &ecfg);
-        explain_s += s.time.as_secs_f64();
-        answered += usize::from(!explanations.is_empty());
+    for _ in 0..REPS {
+        let mut total_s = 0.0;
+        answered = 0;
+        for q in &questions {
+            let (explanations, s) = OptimizedExplainer.explain(&col.out.store, q, &ecfg);
+            total_s += s.time.as_secs_f64();
+            answered += usize::from(!explanations.is_empty());
+        }
+        explain_s = explain_s.min(total_s);
     }
     assert!(answered > 0, "{dataset}: no question produced an explanation at scale");
     eprintln!(
@@ -123,26 +162,30 @@ fn run_dataset(
 
     // --- snapshot v2: save, mmap cold-start, owned decode --------------
     let path = std::env::temp_dir().join(format!("cape_scale_{dataset}.cape"));
-    let t0 = std::time::Instant::now();
-    let bytes =
-        save_snapshot_v2(&path, rel.schema(), &col_cfg, &col.out.store, &rel).expect("save v2");
-    let save_s = t0.elapsed().as_secs_f64();
+    let (save_s, bytes) = best_of(|| {
+        save_snapshot_v2(&path, rel.schema(), &col_cfg, &col.out.store, &rel).expect("save v2")
+    });
 
+    // Peak RSS of the first load, which maps the file fresh. Each timed
+    // closure returns what it built, so freeing it is not timed.
     crate::rss::reset_peak();
-    let t0 = std::time::Instant::now();
-    let (_, mapped) = load_relation_v2(&path).expect("mmap relation load");
-    let mmap_relation_load_s = t0.elapsed().as_secs_f64();
-    let mmap_peak_rss = crate::rss::peak_rss_bytes();
+    let mut mmap_peak_rss = None;
+    let (mmap_relation_load_s, (_, mapped)) = best_of(|| {
+        let loaded = load_relation_v2(&path).expect("mmap relation load");
+        mmap_peak_rss = mmap_peak_rss.or_else(crate::rss::peak_rss_bytes);
+        loaded
+    });
     assert_eq!(mapped.num_rows(), rows, "mapped relation lost rows");
     drop(mapped);
 
-    let t0 = std::time::Instant::now();
-    let raw = std::fs::read(&path).expect("read snapshot");
-    let owned = read_snapshot_v2(&raw).expect("owned decode");
-    let owned_decode_s = t0.elapsed().as_secs_f64();
+    let (owned_decode_s, (raw, owned)) = best_of(|| {
+        let raw = std::fs::read(&path).expect("read snapshot");
+        let owned = read_snapshot_v2(&raw).expect("owned decode");
+        (raw, owned)
+    });
     assert_eq!(owned.relation.num_rows(), rows, "owned relation lost rows");
     assert_eq!(owned.store.len(), col.patterns, "owned decode lost patterns");
-    drop(owned);
+    drop((raw, owned));
     let _ = std::fs::remove_file(&path);
     eprintln!(
         "  scale-bench: {dataset}/{rows}: snapshot {bytes}B, save {save_s:.3}s, \
@@ -263,6 +306,7 @@ pub fn scale_bench(scale: Scale) -> String {
         ("questions".into(), Json::Num(QUESTIONS as f64)),
         ("top_k".into(), Json::Num(TOP_K as f64)),
         ("crime_attrs".into(), Json::Num(CRIME_ATTRS as f64)),
+        ("reps".into(), Json::Num(REPS as f64)),
         ("entries".into(), Json::Arr(entries)),
     ]);
     crate::envelope::merge_bench_section("results/BENCH_mine.json", "mine-bench", "scale", payload);

@@ -9,8 +9,10 @@
 //! e.g. adjacent community areas). Attributes present in only one of the
 //! two schemas contribute the maximal distance 1.
 
+use cape_data::ops::CellProbe;
 use cape_data::stats::attr_range;
-use cape_data::{AttrId, Relation, Value};
+use cape_data::{AttrId, Column, Relation, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Distance between two values of one attribute, in `[0, 1]`.
@@ -41,14 +43,35 @@ impl AttrDistanceFn {
         if a == b {
             return 0.0;
         }
+        self.dist_apart(a, b.as_f64(), || Cow::Borrowed(b))
+    }
+
+    /// [`dist`](Self::dist) from `a` to the cell at row `row` of `col`,
+    /// with `probe` being `a` compiled against `col`. The cell is
+    /// materialized only for a class map's lookup.
+    fn dist_to_cell(&self, a: &Value, col: &Column, probe: &CellProbe<'_>, row: usize) -> f64 {
+        if probe.matches(row) {
+            return 0.0;
+        }
+        self.dist_apart(a, col.get_f64(row), || Cow::Owned(col.get(row)))
+    }
+
+    /// The distance between `a` and a value `b` that differs from it,
+    /// given `b`'s numeric view and a way to get `b` itself.
+    fn dist_apart<'b>(
+        &self,
+        a: &Value,
+        b_num: Option<f64>,
+        b: impl FnOnce() -> Cow<'b, Value>,
+    ) -> f64 {
         match self {
-            AttrDistanceFn::NumericScaled { scale } => match (a.as_f64(), b.as_f64()) {
+            AttrDistanceFn::NumericScaled { scale } => match (a.as_f64(), b_num) {
                 (Some(x), Some(y)) => ((x - y).abs() / scale.max(f64::MIN_POSITIVE)).min(1.0),
                 _ => 1.0,
             },
             AttrDistanceFn::Exact => 1.0,
             AttrDistanceFn::Classes { classes, within_class } => {
-                match (classes.get(a), classes.get(b)) {
+                match (classes.get(a), classes.get(b().as_ref())) {
                     (Some(ca), Some(cb)) if ca == cb => *within_class,
                     _ => 1.0,
                 }
@@ -150,6 +173,41 @@ impl DistanceModel {
         (acc / w_total).sqrt()
     }
 
+    /// [`tuple_distance`](Self::tuple_distance) from `t1` to each row of
+    /// `rel`, read in place: `t2` is a row over the columns `cols2`,
+    /// aligned with `attrs2`. `t1`'s values are compiled against those
+    /// columns once; [`RowDistance::at`] then does `tuple_distance`'s
+    /// operations in the same order, so the two agree bit for bit.
+    pub fn to_rows<'a>(
+        &'a self,
+        attrs1: &'a [AttrId],
+        vals1: &'a [Value],
+        attrs2: &[AttrId],
+        rel: &'a Relation,
+        cols2: &[usize],
+    ) -> RowDistance<'a> {
+        debug_assert_eq!(attrs1.len(), vals1.len());
+        debug_assert_eq!(attrs2.len(), cols2.len());
+        let mut w_total = 0.0;
+        let mut t1 = Vec::with_capacity(attrs1.len());
+        for (&a, v1) in attrs1.iter().zip(vals1) {
+            w_total += self.weights[a];
+            let shared = attrs2.iter().position(|&b| b == a).map(|j| {
+                let col = rel.col(cols2[j]);
+                (col, CellProbe::new(col, v1))
+            });
+            t1.push((a, v1, shared));
+        }
+        let mut t2_only = Vec::new();
+        for &b in attrs2 {
+            if !attrs1.contains(&b) {
+                w_total += self.weights[b];
+                t2_only.push(b);
+            }
+        }
+        RowDistance { model: self, t1, t2_only, w_total }
+    }
+
     /// Lower bound `d_↓(φ, P')` on the distance between the question tuple
     /// (schema `attrs1`) and *any* tuple over schema `attrs2` (§3.5):
     /// attributes in the symmetric difference are guaranteed to contribute
@@ -173,6 +231,44 @@ impl DistanceModel {
             return 0.0;
         }
         (acc / w_total).sqrt()
+    }
+}
+
+/// An attribute of `t1` with its value and, when the rows have the
+/// attribute too, their column with the value compiled against it.
+type CompiledAttr<'a> = (AttrId, &'a Value, Option<(&'a Column, CellProbe<'a>)>);
+
+/// One tuple `t1` compiled against the columns of a relation's rows, from
+/// [`DistanceModel::to_rows`].
+pub struct RowDistance<'a> {
+    model: &'a DistanceModel,
+    /// `t1`'s attributes, in order.
+    t1: Vec<CompiledAttr<'a>>,
+    /// Attributes only the rows have.
+    t2_only: Vec<AttrId>,
+    /// `W`, summed in `tuple_distance`'s order; it does not vary by row.
+    w_total: f64,
+}
+
+impl RowDistance<'_> {
+    /// The distance from `t1` to row `row`.
+    pub fn at(&self, row: usize) -> f64 {
+        let mut acc = 0.0;
+        for (a, v1, shared) in &self.t1 {
+            let w = self.model.weights[*a];
+            let d = match shared {
+                Some((col, probe)) => self.model.fns[*a].dist_to_cell(v1, col, probe, row),
+                None => 1.0,
+            };
+            acc += w * d * d;
+        }
+        for &b in &self.t2_only {
+            acc += self.model.weights[b]; // d = 1, squared
+        }
+        if self.w_total == 0.0 {
+            return 0.0;
+        }
+        (acc / self.w_total).sqrt()
     }
 }
 

@@ -13,6 +13,10 @@
 //!   direction of counterbalance, exclusion of the question tuple itself,
 //!   distance, NORM, and the top-k offer.
 //!
+//! Both halves read the refinement's grouped relation in place: a
+//! candidate is its row there, and only a candidate that clears the full
+//! top-k's threshold is materialized as a tuple of values.
+//!
 //! [`drill_down`], which EXPL-GEN-NAIVE runs, composes the same two
 //! halves but tests `t'[F] = t[F]` cell by cell, as Definition 7 states
 //! it, instead of through the key-match kernel: the oracle shares only
@@ -23,8 +27,8 @@ use crate::explain::score::score_value;
 use crate::explain::topk::TopK;
 use crate::explain::{ExplainConfig, ExplainStats};
 use crate::question::UserQuestion;
-use crate::store::PatternInstance;
-use cape_data::ops::rows_matching;
+use crate::store::{LocalPattern, PatternInstance};
+use cape_data::ops::{rows_matching, CellProbe};
 use cape_data::{AttrId, Value};
 
 /// One tuple `t'` of a refinement's grouped data that matches the
@@ -32,8 +36,9 @@ use cape_data::{AttrId, Value};
 /// any question-specific filtering.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawCandidate {
-    /// Values of `t'` over [`DrillResult::attrs`] (`F'` then `V` order).
-    pub tuple: Vec<Value>,
+    /// Row of `t'` in the refinement's grouped relation; its values are
+    /// that row over [`DrillResult::cols`].
+    pub row: usize,
     /// Actual aggregate value of `t'`.
     pub agg_value: f64,
     /// Local-model prediction for `t'`.
@@ -48,6 +53,9 @@ pub struct RawCandidate {
 pub struct DrillResult {
     /// Attributes of each candidate tuple, in `F'` then `V` order.
     pub attrs: Vec<AttrId>,
+    /// Columns of [`attrs`](Self::attrs) in the refinement's grouped
+    /// relation.
+    pub cols: Vec<usize>,
     /// Candidate tuples (both deviation signs — callers filter by
     /// direction).
     pub candidates: Vec<RawCandidate>,
@@ -64,8 +72,12 @@ pub struct DrillResult {
 ///
 /// Condition 4a is tested on column codes by
 /// [`rows_matching`](cape_data::ops::rows_matching); per-row work is done
-/// only for the rows it returns. Every row is still tested, so
-/// `rows_scanned` is the grouped relation's row count.
+/// only for the rows it returns, and allocates nothing: the `F'` key of
+/// the local-model lookup and the predictors go into buffers reused from
+/// row to row, a row that agrees with the last one looked up on `F'`
+/// reuses its local model, and a candidate records its row, not its
+/// values, so a cached result holds rows too. Every row is still tested,
+/// so `rows_scanned` is the grouped relation's row count.
 pub fn raw_candidates(f_attrs: &[AttrId], f_vals: &[Value], p2: &PatternInstance) -> DrillResult {
     let Some(cols) = DrillCols::of(f_attrs, p2) else {
         return DrillResult::default(); // refinement must contain P's partition attributes
@@ -112,21 +124,43 @@ fn candidates_at(
 ) -> DrillResult {
     let rel = &p2.data.relation;
     let mut candidates = Vec::new();
+    let mut key: Vec<Value> = Vec::with_capacity(cols.fprime.len());
+    let mut x: Vec<f64> = Vec::with_capacity(cols.v.len());
+    // The last row looked up and its local model: a row that agrees with
+    // it on `F'` has the same key, so it reuses the lookup.
+    let mut last: Option<(usize, Option<&LocalPattern>)> = None;
     for i in rows {
-        let Some(local) = p2.local(&rel.row_project(i, &cols.fprime)) else {
+        let local = match last {
+            Some((j, local)) if rel.rows_equal_on(i, j, &cols.fprime) => local,
+            _ => {
+                key.clear();
+                key.extend(cols.fprime.iter().map(|&c| rel.value(i, c)));
+                let local = p2.local(&key);
+                last = Some((i, local));
+                local
+            }
+        };
+        let Some(local) = local else {
             continue;
         };
-        let Some(x) = p2.predictors(i, &cols.v) else { continue };
+        if !p2.predictors_into(i, &cols.v, &mut x) {
+            continue;
+        }
         let Some(actual) = p2.data.agg_value(i, p2.agg_col) else { continue };
         let predicted = local.fitted.model.predict(&x);
         candidates.push(RawCandidate {
-            tuple: rel.row_project(i, &cols.t),
+            row: i,
             agg_value: actual,
             predicted,
             deviation: actual - predicted,
         });
     }
-    DrillResult { attrs: cols.attrs.clone(), candidates, rows_scanned: rel.num_rows() }
+    DrillResult {
+        attrs: cols.attrs.clone(),
+        cols: cols.t.clone(),
+        candidates,
+        rows_scanned: rel.num_rows(),
+    }
 }
 
 /// Apply the question-dependent conditions of Definition 7 to a raw
@@ -134,6 +168,11 @@ fn candidates_at(
 /// exclusion of the question tuple itself when `G_{P'}` equals the
 /// question's group-by set (condition 4b) — then score survivors against
 /// the relevant pattern's NORM and push them into `topk`.
+///
+/// Condition 4b and the distance (Definition 9) read each candidate's
+/// cells in `p2`'s grouped relation, against the question's values
+/// compiled once per call; a candidate's tuple is built only when its
+/// score clears the full top-k's threshold.
 #[allow(clippy::too_many_arguments)]
 pub fn offer_candidates(
     drill: &DrillResult,
@@ -146,21 +185,30 @@ pub fn offer_candidates(
     topk: &mut TopK,
     stats: &mut ExplainStats,
 ) {
+    let rel = &p2.data.relation;
     // Same-schema check data: when G_{P'} equals the question's group-by
     // set, t' = t must be excluded (condition 4 of Definition 7).
     let mut uq_sorted: Vec<AttrId> = uq.group_attrs.clone();
     uq_sorted.sort_unstable();
     let same_schema = p2.arp.g_attrs() == uq_sorted;
-    let uq_vals_for_t: Option<Vec<Value>> = if same_schema {
-        Some(drill.attrs.iter().map(|&a| uq.value_of(a).expect("covered attr").clone()).collect())
-    } else {
-        None
-    };
+    let uq_probes: Option<Vec<CellProbe>> = same_schema.then(|| {
+        drill
+            .attrs
+            .iter()
+            .zip(&drill.cols)
+            .map(|(&a, &c)| CellProbe::new(rel.col(c), uq.value_of(a).expect("covered attr")))
+            .collect()
+    });
+    let distance_to =
+        cfg.distance.to_rows(&uq.group_attrs, &uq.tuple, &drill.attrs, rel, &drill.cols);
+    // Only an offer changes the top-k, so its threshold is read again
+    // after each offer rather than for every candidate.
+    let mut kth = topk.threshold();
 
     for cand in &drill.candidates {
         // (4b) t' ≠ t when over the same schema.
-        if let Some(uq_vals) = &uq_vals_for_t {
-            if &cand.tuple == uq_vals {
+        if let Some(probes) = &uq_probes {
+            if probes.iter().all(|p| p.matches(cand.row)) {
                 continue;
             }
         }
@@ -170,20 +218,19 @@ pub fn offer_candidates(
         }
         stats.candidates_generated += 1;
 
-        let distance =
-            cfg.distance.tuple_distance(&uq.group_attrs, &uq.tuple, &drill.attrs, &cand.tuple);
+        let distance = distance_to.at(cand.row);
         let score = score_value(cand.deviation, uq.dir.is_low_sign(), distance, norm);
         // A full top-k refuses a score strictly below its k-th best: a
         // duplicate's live copy scores at least that much, and a new key
         // must beat it. Skip such a candidate before building it.
-        if topk.threshold().is_some_and(|kth| score < kth) {
+        if kth.is_some_and(|kth| score < kth) {
             continue;
         }
         topk.offer(Explanation {
             pattern_idx: p_idx,
             refinement_idx: p2_idx,
             attrs: drill.attrs.clone(),
-            tuple: cand.tuple.clone(),
+            tuple: rel.row_project(cand.row, &drill.cols),
             agg_value: cand.agg_value,
             predicted: cand.predicted,
             deviation: cand.deviation,
@@ -191,6 +238,7 @@ pub fn offer_candidates(
             norm,
             score,
         });
+        kth = topk.threshold();
     }
 }
 

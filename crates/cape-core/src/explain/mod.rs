@@ -17,13 +17,13 @@ pub mod topk;
 
 pub use baseline::BaselineExplainer;
 pub use candidate::{render_table, Explanation};
-pub use distance::{AttrDistanceFn, DistanceModel};
+pub use distance::{AttrDistanceFn, DistanceModel, RowDistance};
 pub use drill::{offer_candidates, raw_candidates, DrillResult, RawCandidate};
 pub use generalize::{generalizations, GeneralizationFinding};
 pub use naive::NaiveExplainer;
 pub use optimized::{expl_gen_opt, OptimizedExplainer};
 pub use provenance::{provenance_of, summarize as summarize_provenance, ProvenanceSummary};
-pub use score::{norm_factor, relevant_fragment, score_value, SCORE_EPSILON};
+pub use score::{norm_factor, relevant_fragment, score_value, QuestionNorms, SCORE_EPSILON};
 pub use summarize::{
     relative_loss, render_summaries, summarize, SummarizeConfig, Summary, SummaryFragment,
     DEFAULT_MAX_LOSS, DEFAULT_MIN_MEMBERS,

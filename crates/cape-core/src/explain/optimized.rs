@@ -19,7 +19,7 @@
 //! request's deadline.
 
 use crate::explain::drill::{offer_candidates, raw_candidates, DrillResult};
-use crate::explain::score::{norm_factor, relevant_fragment, score_upper_bound};
+use crate::explain::score::{relevant_fragment, score_upper_bound, QuestionNorms};
 use crate::explain::topk::TopK;
 use crate::explain::{ExplainConfig, ExplainStats, Explanation, TopKExplainer};
 use crate::question::{Direction, UserQuestion};
@@ -63,9 +63,10 @@ pub fn expl_gen_opt<R: Borrow<DrillResult>>(
     let mut partial = false;
 
     // Collect relevant patterns with their fragments and NORM factors.
+    let mut norms = QuestionNorms::new(uq);
     let mut relevant: Vec<(usize, Vec<Value>, f64)> = store
         .iter()
-        .filter_map(|(idx, p)| relevant_fragment(p, uq).map(|f| (idx, f, norm_factor(p, uq))))
+        .filter_map(|(idx, p)| relevant_fragment(p, uq).map(|f| (idx, f, norms.norm(p))))
         .collect();
     stats.patterns_relevant = relevant.len();
     // Small NORM ⇒ large potential scores ⇒ process first.

@@ -2,9 +2,12 @@
 //! NORM factor taken from the relevant pattern's aggregation at the user
 //! question's coordinates.
 
+use crate::group_data::GroupData;
 use crate::question::UserQuestion;
 use crate::store::PatternInstance;
-use cape_data::Value;
+use cape_data::ops::rows_matching;
+use cape_data::{AttrId, Value};
+use std::sync::Arc;
 
 /// Added to the denominator to avoid division by zero when NORM or the
 /// distance degenerates (footnote 2 of the paper).
@@ -23,6 +26,9 @@ pub const SCORE_EPSILON: f64 = 1e-6;
 /// conclusion) — NORM degenerates; we return the neutral factor 1.0 so
 /// that the score reduces to `dev / d` and the distance still
 /// discriminates between candidates.
+///
+/// This is Definition 10's scan, cell by cell, as EXPL-GEN-NAIVE runs it.
+/// EXPL-GEN-OPT finds the same row on column codes with [`QuestionNorms`].
 pub fn norm_factor(pattern: &PatternInstance, uq: &UserQuestion) -> f64 {
     let g = pattern.arp.g_attrs();
     let Some(wanted) = uq.values_of(&g) else {
@@ -38,6 +44,50 @@ pub fn norm_factor(pattern: &PatternInstance, uq: &UserQuestion) -> f64 {
         }
     }
     1.0
+}
+
+/// [`norm_factor`] for the relevant patterns of one question, found on
+/// column codes. The question's group row in a grouped relation is found
+/// once with [`rows_matching`] and shared by every pattern over that
+/// relation (the same `Arc<GroupData>` and `G`); each pattern reads its
+/// own aggregate column there. The kernel returns matching rows in
+/// ascending order, so its first is the row the literal scan stops at.
+#[derive(Debug)]
+pub struct QuestionNorms<'a> {
+    uq: &'a UserQuestion,
+    /// Grouped relations searched so far: the relation, the `G` searched
+    /// on, and the question's group row (`None` when absent).
+    found: Vec<(&'a Arc<GroupData>, Vec<AttrId>, Option<usize>)>,
+}
+
+impl<'a> QuestionNorms<'a> {
+    /// No relation searched yet.
+    pub fn new(uq: &'a UserQuestion) -> Self {
+        QuestionNorms { uq, found: Vec::new() }
+    }
+
+    /// NORM of `pattern` for the question; equal, bit for bit, to
+    /// [`norm_factor`].
+    pub fn norm(&mut self, pattern: &'a PatternInstance) -> f64 {
+        let g = pattern.arp.g_attrs();
+        let data = &pattern.data;
+        let known = self.found.iter().find(|(d, dg, _)| Arc::ptr_eq(d, data) && *dg == g);
+        let row = match known {
+            Some(&(_, _, row)) => row,
+            None => {
+                let Some(wanted) = self.uq.values_of(&g) else {
+                    return 1.0;
+                };
+                let Some(cols) = data.cols_of_attrs(&g) else {
+                    return 1.0;
+                };
+                let row = rows_matching(&data.relation, &cols, &wanted).first().copied();
+                self.found.push((data, g, row));
+                row
+            }
+        };
+        row.map_or(1.0, |i| data.agg_value(i, pattern.agg_col).unwrap_or(0.0).abs())
+    }
 }
 
 /// The score of Definition 10 from its ingredients.
@@ -176,6 +226,20 @@ mod tests {
         let (_, author_year) =
             store.iter().find(|(_, p)| p.arp.f() == [0] && p.arp.v() == [1]).unwrap();
         assert_eq!(norm_factor(author_year, &uq), 1.0);
+        assert_eq!(QuestionNorms::new(&uq).norm(author_year), 1.0);
+    }
+
+    #[test]
+    fn question_norms_search_each_grouped_relation_once() {
+        let (_, store) = mined();
+        let uq = question();
+        let mut norms = QuestionNorms::new(&uq);
+        for (_, p) in store.iter() {
+            assert_eq!(norms.norm(p).to_bits(), norm_factor(p, &uq).to_bits());
+        }
+        let distinct: std::collections::HashSet<*const GroupData> =
+            store.iter().map(|(_, p)| Arc::as_ptr(&p.data)).collect();
+        assert_eq!(norms.found.len(), distinct.len());
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl GroupData {
 
     /// The numeric aggregate value of row `i` in column `col`.
     pub fn agg_value(&self, i: usize, col: usize) -> Option<f64> {
-        self.relation.value(i, col).as_f64()
+        self.relation.value_f64(i, col)
     }
 }
 

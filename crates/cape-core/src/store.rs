@@ -90,22 +90,25 @@ impl PatternInstance {
     /// still build the vector for uniformity; categorical predictors under
     /// a `Const` model are encoded as 0.0 placeholders.
     pub fn predictor_vec(&self, i: usize) -> Option<Vec<f64>> {
-        self.predictors(i, &self.data.cols_of_attrs(self.arp.v())?)
+        let mut out = Vec::new();
+        self.predictors_into(i, &self.data.cols_of_attrs(self.arp.v())?, &mut out).then_some(out)
     }
 
-    /// [`predictor_vec`](Self::predictor_vec) with `V`'s columns in
-    /// `data.relation` already looked up, for callers that visit many rows.
-    pub(crate) fn predictors(&self, i: usize, v_cols: &[usize]) -> Option<Vec<f64>> {
+    /// [`predictor_vec`](Self::predictor_vec) into `out`, with `V`'s
+    /// columns in `data.relation` already looked up, for callers that
+    /// visit many rows and reuse one buffer. Returns `false` where
+    /// `predictor_vec` returns `None`.
+    pub(crate) fn predictors_into(&self, i: usize, v_cols: &[usize], out: &mut Vec<f64>) -> bool {
         let needs_numeric = self.arp.model.requires_numeric_predictors();
-        let mut out = Vec::with_capacity(v_cols.len());
+        out.clear();
         for &c in v_cols {
             match self.data.relation.value_f64(i, c) {
                 Some(x) => out.push(x),
                 None if !needs_numeric => out.push(0.0),
-                None => return None,
+                None => return false,
             }
         }
-        Some(out)
+        true
     }
 }
 

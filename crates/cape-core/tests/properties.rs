@@ -1,18 +1,22 @@
 //! Property-based tests of the CAPE core: candidate enumeration, the
 //! top-k heap (including deterministic tie-breaking), the scoring
-//! function's monotonicity, the distance model, and miner agreement on
-//! random data.
+//! function's monotonicity, the distance model, miner agreement on
+//! random data, and EXPL-GEN-OPT's column-code kernels (NORM and the row
+//! distance) against Definitions 9 and 10 computed on values.
 
 use cape_core::explain::{
-    relative_loss, score_value, summarize, DistanceModel, Explanation, SummarizeConfig, TopK,
+    norm_factor, relative_loss, score_value, summarize, AttrDistanceFn, DistanceModel, Explanation,
+    QuestionNorms, SummarizeConfig, TopK,
 };
+use cape_core::group_data::GroupData;
 use cape_core::mining::{splits_of, ArpMiner, Miner, ShareGrpMiner};
 use cape_core::store::{PatternInstance, PatternStore};
-use cape_core::{Arp, MiningConfig, Thresholds};
-use cape_data::{AggFunc, Relation, Schema, Value, ValueType};
+use cape_core::{Arp, Direction, MiningConfig, Thresholds, UserQuestion};
+use cape_data::{AggFunc, AttrId, Relation, Schema, Value, ValueType};
 use cape_regress::ModelType;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 fn arb_relation(max_rows: usize) -> impl Strategy<Value = Relation> {
     let row = (0u8..3, 0i64..5, 0u8..3);
@@ -413,6 +417,215 @@ proptest! {
             let want: Vec<usize> =
                 store.iter().filter(|(_, q)| p.arp.is_refined_by(&q.arp)).map(|(j, _)| j).collect();
             prop_assert_eq!(store.refinements_of(i), &want[..], "pattern {}", i);
+        }
+    }
+}
+
+/// Cells of the grouped relations the kernel properties build. Each
+/// attribute draws from a small pool, so keys repeat and questions hit;
+/// the pools hold NULL, NaN, −0.0 and, in `m`, values of three types,
+/// which turn its column into a `Mixed` one.
+fn cell(attr: usize, code: u8) -> Value {
+    match (attr, code % 5) {
+        (_, 0) => Value::Null,
+        (0, c) => Value::str(["s1", "s2", "s3", "s4"][c as usize - 1]),
+        (1, c) => Value::Int(i64::from(c)),
+        (2, c) => Value::Float([f64::NAN, -0.0, 0.0, 2.0][c as usize - 1]),
+        (3, c) => [Value::Int(1), Value::str("one"), Value::Float(1.5), Value::Int(2)]
+            [c as usize - 1]
+            .clone(),
+        (4, c) => Value::Int([25, 26, 77, 99][c as usize - 1]),
+        (_, c) => Value::str(["north", "south", "east", "west"][c as usize - 1]),
+    }
+}
+
+/// A question value for an attribute whose cell in some row is `v`:
+/// `v` itself, its cross-type twin (`Int(2)` ↔ `Float(2.0)`, `0.0` ↔
+/// `−0.0`, another NaN), NULL, or a value no row holds (a string the
+/// dictionary lacks).
+fn question_cell(v: &Value, code: u8) -> Value {
+    match code % 6 {
+        0..=2 => v.clone(),
+        3 => match v {
+            Value::Int(i) => Value::Float(*i as f64),
+            Value::Float(f) if f.is_nan() => Value::Float(-f64::NAN),
+            Value::Float(f) if *f == 0.0 => Value::Float(-*f),
+            Value::Float(f) if f.fract() == 0.0 => Value::Int(*f as i64),
+            other => other.clone(),
+        },
+        4 => Value::Null,
+        _ => match v {
+            Value::Str(_) => Value::str("absent"),
+            _ => Value::Int(1_000),
+        },
+    }
+}
+
+/// A grouped relation over base attributes `group_attrs` with the
+/// aggregates `count(*)` and `sum(#9)` and the trailing `__rows`, one row
+/// per code tuple. Keys may repeat: a hand-built relation checks that
+/// NORM reads the *first* matching row.
+fn grouped(group_attrs: &[AttrId], rows: &[(Vec<u8>, i64)]) -> Arc<GroupData> {
+    let types = [ValueType::Str, ValueType::Int, ValueType::Float, ValueType::Int];
+    let mut cols: Vec<(String, ValueType)> =
+        group_attrs.iter().map(|&a| (format!("g{a}"), types[a])).collect();
+    cols.extend([
+        ("count".to_string(), ValueType::Int),
+        ("total".to_string(), ValueType::Float),
+        ("__rows".to_string(), ValueType::Int),
+    ]);
+    let mut rel = Relation::new(Schema::new(cols).unwrap());
+    // One string in `m` degrades its column to `Mixed`.
+    if group_attrs.contains(&3) {
+        let row = group_attrs.iter().map(|&a| if a == 3 { cell(3, 2) } else { Value::Null });
+        rel.push_row(row.chain([Value::Int(7), Value::Float(-3.5), Value::Int(7)]).collect())
+            .unwrap();
+    }
+    for (codes, n) in rows {
+        let key = group_attrs.iter().zip(codes).map(|(&a, &c)| cell(a, c));
+        let total = if n % 3 == 0 { Value::Null } else { Value::Float(*n as f64 * -1.25) };
+        rel.push_row(key.chain([Value::Int(*n), total, Value::Int(*n)]).collect()).unwrap();
+    }
+    let aggs = [(AggFunc::Count, None), (AggFunc::Sum, Some(9))];
+    Arc::new(GroupData::from_parts(group_attrs.to_vec(), rel, &aggs))
+}
+
+/// A pattern over `data`; NORM reads only its shape and grouped data.
+fn norm_pattern(f: &[AttrId], v: &[AttrId], sum: bool, data: &Arc<GroupData>) -> PatternInstance {
+    let (agg, attr) = if sum { (AggFunc::Sum, Some(9)) } else { (AggFunc::Count, None) };
+    PatternInstance {
+        arp: Arp::new(f.iter().copied(), v.iter().copied(), agg, attr, ModelType::Const),
+        agg_col: data.agg_col(agg, attr).unwrap(),
+        data: Arc::clone(data),
+        locals: Default::default(),
+        confidence: 1.0,
+        num_supported: 0,
+        max_pos_dev: 0.0,
+        max_neg_dev: 0.0,
+    }
+}
+
+proptest! {
+    /// The NORM that EXPL-GEN-OPT uses ([`QuestionNorms`], one key-match
+    /// search per grouped relation) equals Definition 10's cell-by-cell
+    /// scan ([`norm_factor`]) bit for bit, for patterns that share a
+    /// grouped relation and patterns that do not: over NULL keys, NaN and
+    /// −0.0, a `Mixed` column, cross-type question values, strings the
+    /// dictionary lacks, and groups absent at `P`'s granularity (1.0).
+    #[test]
+    fn question_norms_equal_the_literal_scan(
+        wide in collection::vec((collection::vec(0u8..5, 4..5), 1i64..9), 0..24),
+        narrow in collection::vec((collection::vec(0u8..5, 2..3), 1i64..9), 0..12),
+        pick in 0usize..64,
+        codes in collection::vec(0u8..6, 4..5),
+    ) {
+        let full = grouped(&[0, 1, 2, 3], &wide);
+        let pair = grouped(&[1, 0], &narrow);
+        let patterns = [
+            norm_pattern(&[0], &[1, 2, 3], false, &full),
+            norm_pattern(&[0, 3], &[1, 2], true, &full),
+            norm_pattern(&[2], &[0, 1, 3], false, &full),
+            norm_pattern(&[0], &[1], false, &pair),
+            norm_pattern(&[1], &[0], true, &pair),
+        ];
+        // The question's tuple starts from a row of the wide relation, so
+        // it often has a group there, then each value may change.
+        let row: Vec<Value> = match wide.get(pick % wide.len().max(1)) {
+            Some((c, _)) => (0..4).map(|a| cell(a, c[a])).collect(),
+            None => vec![Value::Null; 4],
+        };
+        let group_attrs = vec![3, 1, 0, 2];
+        let tuple = group_attrs.iter().zip(&codes).map(|(&a, &c)| question_cell(&row[a], c));
+        let uq = UserQuestion::new(
+            group_attrs.clone(), AggFunc::Count, None, tuple.collect(), 1.0, Direction::Low,
+        );
+        let mut norms = QuestionNorms::new(&uq);
+        for p in patterns.iter().chain(&patterns) {
+            let (kernel, literal) = (norms.norm(p), norm_factor(p, &uq));
+            prop_assert_eq!(kernel.to_bits(), literal.to_bits(), "{:?}", p.arp);
+        }
+        // A value no row holds: the group is absent, NORM is 1.0.
+        let mut absent = uq.clone();
+        absent.tuple[2] = Value::str("absent");
+        let mut norms = QuestionNorms::new(&absent);
+        for p in &patterns {
+            prop_assert_eq!(norms.norm(p).to_bits(), 1.0f64.to_bits());
+            prop_assert_eq!(norm_factor(p, &absent).to_bits(), 1.0f64.to_bits());
+        }
+    }
+
+    /// The distance EXPL-GEN-OPT computes from a grouped row's cells
+    /// ([`DistanceModel::to_rows`]) equals [`DistanceModel::tuple_distance`]
+    /// over the row's projection, bit for bit: `NumericScaled`, `Exact`
+    /// and `Classes` attributes (on strings and on numbers), NULL cells, a
+    /// `Mixed` column, zero weights, cross-type question values, and
+    /// attributes present on one side only.
+    #[test]
+    fn row_distance_equals_tuple_distance(
+        rows in collection::vec(collection::vec(0u8..5, 6..7), 1..16),
+        weights in collection::vec(0u8..4, 6..7),
+        masks in (1u8..64, 1u8..64, 0usize..6, 0usize..6),
+        picks in (0usize..16, collection::vec(0u8..6, 6..7)),
+    ) {
+        // Column j of the relation holds attribute (j + 2) % 6.
+        let attr_of = |j: usize| (j + 2) % 6;
+        let types = [ValueType::Str, ValueType::Int, ValueType::Float, ValueType::Int,
+            ValueType::Int, ValueType::Str];
+        let schema = Schema::new((0..6).map(|j| (format!("c{j}"), types[attr_of(j)]))).unwrap();
+        let mut rel = Relation::new(schema);
+        rel.push_row((0..6).map(|j| cell(attr_of(j), 2)).collect()).unwrap();
+        for codes in &rows {
+            rel.push_row((0..6).map(|j| cell(attr_of(j), codes[j])).collect()).unwrap();
+        }
+        let classes = |vals: &[Value], ids: &[u32]| -> HashMap<Value, u32> {
+            vals.iter().cloned().zip(ids.iter().copied()).collect()
+        };
+        let fns = vec![
+            AttrDistanceFn::Exact,
+            AttrDistanceFn::NumericScaled { scale: 3.0 },
+            AttrDistanceFn::NumericScaled { scale: 1.7 },
+            AttrDistanceFn::Classes {
+                classes: classes(&[Value::Int(1), Value::str("one"), Value::Float(1.5)], &[1, 1, 2]),
+                within_class: 0.5,
+            },
+            AttrDistanceFn::Classes {
+                classes: classes(&[Value::Int(25), Value::Int(26), Value::Int(77)], &[1, 1, 2]),
+                within_class: 0.3,
+            },
+            AttrDistanceFn::Classes {
+                classes: classes(&[Value::str("north"), Value::str("south")], &[4, 4]),
+                within_class: 0.25,
+            },
+        ];
+        // Zero weights are allowed, but not all of them. Weights and
+        // scales with long mantissas make a reordered sum or product
+        // round differently.
+        let mut w: Vec<f64> = weights.iter().map(|&c| f64::from(c).sqrt() * 0.7).collect();
+        w[0] += 0.1;
+        let dm = DistanceModel::new(w, fns);
+
+        let (mask1, mask2, rot1, rot2) = masks;
+        let subset = |mask: u8, rot: usize| -> Vec<AttrId> {
+            (0..6).map(|i| (i + rot) % 6).filter(|a| (mask >> a) & 1 == 1).collect()
+        };
+        let (attrs1, attrs2) = (subset(mask1, rot1), subset(mask2, rot2));
+        let cols2: Vec<usize> =
+            attrs2.iter().map(|&a| (0..6).find(|&j| attr_of(j) == a).unwrap()).collect();
+        let (pick, codes) = picks;
+        let src = pick % rel.num_rows();
+        let vals1: Vec<Value> = attrs1
+            .iter()
+            .map(|&a| {
+                let j = (0..6).find(|&j| attr_of(j) == a).unwrap();
+                question_cell(&rel.value(src, j), codes[a])
+            })
+            .collect();
+
+        let rows_from = dm.to_rows(&attrs1, &vals1, &attrs2, &rel, &cols2);
+        for i in 0..rel.num_rows() {
+            let t2 = rel.row_project(i, &cols2);
+            let literal = dm.tuple_distance(&attrs1, &vals1, &attrs2, &t2);
+            prop_assert_eq!(rows_from.at(i).to_bits(), literal.to_bits(), "row {}", i);
         }
     }
 }

@@ -16,5 +16,5 @@ pub use cube::{cube, CubeSlice};
 pub use group_index::group_key_index_unpacked;
 pub use group_index::{group_key_index, GroupKeyIndex};
 pub use project::{distinct, distinct_project, project};
-pub use select::{filter, rows_matching, select};
+pub use select::{filter, rows_matching, select, CellProbe};
 pub use sort::{column_ranks, perm_block_starts, sort_by, sort_perm, sorted_block_starts};

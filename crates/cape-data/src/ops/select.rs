@@ -41,7 +41,7 @@ pub fn filter<F: FnMut(&Relation, usize) -> bool>(rel: &Relation, mut keep: F) -
 /// range (programming errors).
 pub fn rows_matching(rel: &Relation, cols: &[AttrId], key: &[Value]) -> Vec<usize> {
     assert_eq!(cols.len(), key.len(), "key must align with cols");
-    let mut probes = cols.iter().zip(key).map(|(&c, v)| Probe::new(rel.col(c), v));
+    let mut probes = cols.iter().zip(key).map(|(&c, v)| CellProbe::new(rel.col(c), v));
     let Some(first) = probes.next() else {
         return (0..rel.num_rows()).collect();
     };
@@ -55,8 +55,11 @@ pub fn rows_matching(rel: &Relation, cols: &[AttrId], key: &[Value]) -> Vec<usiz
     rows
 }
 
-/// One key value compiled against its column for [`rows_matching`].
-enum Probe<'a> {
+/// One key value compiled against its column: whether a cell equals the
+/// value under [`Value`]'s `==`, answered without materializing the
+/// cell. [`rows_matching`] compiles one per key column; callers that test
+/// chosen rows compile their own and ask [`CellProbe::matches`].
+pub enum CellProbe<'a> {
     /// `Null` against a typed column.
     Null(&'a NullBitmap),
     /// An `Int` against an `Int` slab.
@@ -71,37 +74,54 @@ enum Probe<'a> {
     Cell(&'a Column, &'a Value),
 }
 
-impl<'a> Probe<'a> {
-    fn new(col: &'a Column, v: &'a Value) -> Self {
+impl<'a> CellProbe<'a> {
+    /// Compile `v` against `col`.
+    pub fn new(col: &'a Column, v: &'a Value) -> Self {
         match (col, v) {
-            (Column::Int(c), Value::Null) => Probe::Null(&c.nulls),
-            (Column::Float(c), Value::Null) => Probe::Null(&c.nulls),
-            (Column::Str(c), Value::Null) => Probe::Null(&c.nulls),
-            (Column::Int(c), Value::Int(x)) => Probe::Int(c.data.as_slice(), &c.nulls, *x),
+            (Column::Int(c), Value::Null) => CellProbe::Null(&c.nulls),
+            (Column::Float(c), Value::Null) => CellProbe::Null(&c.nulls),
+            (Column::Str(c), Value::Null) => CellProbe::Null(&c.nulls),
+            (Column::Int(c), Value::Int(x)) => CellProbe::Int(c.data.as_slice(), &c.nulls, *x),
             (Column::Float(c), Value::Float(f)) => {
-                Probe::Float(c.data.as_slice(), &c.nulls, canon_f64(*f).to_bits())
+                CellProbe::Float(c.data.as_slice(), &c.nulls, canon_f64(*f).to_bits())
             }
             (Column::Str(c), Value::Str(s)) => match c.dict.code_of(s) {
-                Some(code) => Probe::Code(c.codes.as_slice(), &c.nulls, code),
-                None => Probe::Never,
+                Some(code) => CellProbe::Code(c.codes.as_slice(), &c.nulls, code),
+                None => CellProbe::Never,
             },
-            _ => Probe::Cell(col, v),
+            _ => CellProbe::Cell(col, v),
         }
     }
 
-    /// The ids among `rows` that match, in the order given.
+    /// Whether the cell at row `i` equals the value.
+    #[inline]
+    pub fn matches(&self, i: usize) -> bool {
+        match *self {
+            CellProbe::Null(nulls) => nulls.get(i),
+            CellProbe::Int(data, nulls, x) => data[i] == x && !nulls.get(i),
+            CellProbe::Float(data, nulls, bits) => data[i].to_bits() == bits && !nulls.get(i),
+            CellProbe::Code(codes, nulls, code) => codes[i] == code && !nulls.get(i),
+            CellProbe::Never => false,
+            CellProbe::Cell(col, v) => col.get(i) == *v,
+        }
+    }
+
+    /// The ids among `rows` that match, in the order given: one loop per
+    /// probe kind, so the kind is not re-tested per row.
     fn keep(&self, rows: impl Iterator<Item = usize>) -> Vec<usize> {
         match *self {
-            Probe::Null(nulls) => rows.filter(|&i| nulls.get(i)).collect(),
-            Probe::Int(data, nulls, x) => rows.filter(|&i| data[i] == x && !nulls.get(i)).collect(),
-            Probe::Float(data, nulls, bits) => {
+            CellProbe::Null(nulls) => rows.filter(|&i| nulls.get(i)).collect(),
+            CellProbe::Int(data, nulls, x) => {
+                rows.filter(|&i| data[i] == x && !nulls.get(i)).collect()
+            }
+            CellProbe::Float(data, nulls, bits) => {
                 rows.filter(|&i| data[i].to_bits() == bits && !nulls.get(i)).collect()
             }
-            Probe::Code(codes, nulls, code) => {
+            CellProbe::Code(codes, nulls, code) => {
                 rows.filter(|&i| codes[i] == code && !nulls.get(i)).collect()
             }
-            Probe::Never => Vec::new(),
-            Probe::Cell(col, v) => rows.filter(|&i| col.get(i) == *v).collect(),
+            CellProbe::Never => Vec::new(),
+            CellProbe::Cell(col, v) => rows.filter(|&i| col.get(i) == *v).collect(),
         }
     }
 }
