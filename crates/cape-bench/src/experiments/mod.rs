@@ -15,3 +15,19 @@ pub mod store_bench;
 pub mod subtasks;
 pub mod tables;
 pub mod user_study;
+
+/// Seconds of the fastest of `reps` timed runs of `f`, with that run's
+/// result. The minimum is the least-noisy estimate of a timing: anything
+/// above it is scheduler interference.
+pub(crate) fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best: Option<(f64, T)> = None;
+    for _ in 0..reps {
+        let t0 = std::time::Instant::now();
+        let value = f();
+        let secs = t0.elapsed().as_secs_f64();
+        if best.as_ref().is_none_or(|(b, _)| secs < *b) {
+            best = Some((secs, value));
+        }
+    }
+    best.expect("reps > 0")
+}

@@ -25,6 +25,7 @@
 //! against the same committed baseline.
 
 use crate::datasets::{crime_prefix, crime_rows, dblp_rows, Scale};
+use crate::experiments::best_of;
 use crate::questions::generate_questions;
 use crate::report::{section, SeriesTable};
 use cape_core::config::MiningConfig;
@@ -46,23 +47,6 @@ const TOP_K: usize = 10;
 
 /// Timed runs per phase; the per-metric minimum is reported.
 const REPS: usize = 3;
-
-/// Seconds of the fastest of [`REPS`] runs of `f`, with the first run's
-/// result (every run's result is the same). Later results are dropped
-/// after their run is timed.
-fn best_of<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best: Option<(f64, T)> = None;
-    for _ in 0..REPS {
-        let t0 = std::time::Instant::now();
-        let out = f();
-        let s = t0.elapsed().as_secs_f64();
-        best = Some(match best {
-            Some((b, first)) => (b.min(s), first),
-            None => (s, out),
-        });
-    }
-    best.expect("REPS > 0")
-}
 
 fn base_cfg(exclude: Vec<usize>) -> MiningConfig {
     MiningConfig {
@@ -162,7 +146,7 @@ fn run_dataset(
 
     // --- snapshot v2: save, mmap cold-start, owned decode --------------
     let path = std::env::temp_dir().join(format!("cape_scale_{dataset}.cape"));
-    let (save_s, bytes) = best_of(|| {
+    let (save_s, bytes) = best_of(REPS, || {
         save_snapshot_v2(&path, rel.schema(), &col_cfg, &col.out.store, &rel).expect("save v2")
     });
 
@@ -170,7 +154,7 @@ fn run_dataset(
     // closure returns what it built, so freeing it is not timed.
     crate::rss::reset_peak();
     let mut mmap_peak_rss = None;
-    let (mmap_relation_load_s, (_, mapped)) = best_of(|| {
+    let (mmap_relation_load_s, (_, mapped)) = best_of(REPS, || {
         let loaded = load_relation_v2(&path).expect("mmap relation load");
         mmap_peak_rss = mmap_peak_rss.or_else(crate::rss::peak_rss_bytes);
         loaded
@@ -178,7 +162,7 @@ fn run_dataset(
     assert_eq!(mapped.num_rows(), rows, "mapped relation lost rows");
     drop(mapped);
 
-    let (owned_decode_s, (raw, owned)) = best_of(|| {
+    let (owned_decode_s, (raw, owned)) = best_of(REPS, || {
         let raw = std::fs::read(&path).expect("read snapshot");
         let owned = read_snapshot_v2(&raw).expect("owned decode");
         (raw, owned)

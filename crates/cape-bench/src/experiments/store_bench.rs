@@ -15,6 +15,7 @@
 //! the file on disk, not just the in-memory bytes, is the durable truth.
 
 use crate::datasets::{crime_prefix, crime_rows, dblp_rows, Scale};
+use crate::experiments::best_of;
 use crate::questions::generate_questions;
 use crate::report::{section, SeriesTable};
 use cape_core::explain::ExplainConfig;
@@ -24,7 +25,6 @@ use cape_core::snapshot;
 use cape_core::{MiningConfig, PatternStore};
 use cape_data::Relation;
 use cape_obs::Json;
-use std::time::Instant;
 
 const TOP_K: usize = 8;
 const QUESTIONS: usize = 12;
@@ -32,21 +32,6 @@ const SCORE_TOL: f64 = 1e-9;
 
 /// Runs per timing; the fastest is reported.
 const REPS: usize = 3;
-
-/// Best (fastest) of [`REPS`] timed runs of `f`, with the result of the
-/// winning run.
-fn best_of<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best: Option<(f64, T)> = None;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        let value = f();
-        let secs = t0.elapsed().as_secs_f64();
-        if best.as_ref().is_none_or(|(b, _)| secs < *b) {
-            best = Some((secs, value));
-        }
-    }
-    best.expect("REPS > 0")
-}
 
 struct Dataset {
     name: &'static str,
@@ -133,17 +118,19 @@ pub fn store_bench(scale: Scale) -> String {
 
     for ds in datasets(scale) {
         eprintln!("  store-bench: mining {} ({} rows) ...", ds.name, ds.rel.num_rows());
-        let (mine_s, store) = best_of(|| ArpMiner.mine(&ds.rel, &ds.cfg).expect("mining").store);
+        let (mine_s, store) =
+            best_of(REPS, || ArpMiner.mine(&ds.rel, &ds.cfg).expect("mining").store);
         assert!(!store.is_empty(), "{}: mined no patterns", ds.name);
 
         // Save is atomic (tmp + rename), so re-saving to the same path per
         // rep is safe and each rep measures a complete write.
         let path = snapshot_path(scale, ds.name);
-        let (save_s, bytes) = best_of(|| {
+        let (save_s, bytes) = best_of(REPS, || {
             snapshot::save_snapshot(&path, ds.rel.schema(), &ds.cfg, &store).expect("save")
         });
 
-        let (load_s, loaded) = best_of(|| snapshot::load_snapshot(&path, &ds.rel).expect("load"));
+        let (load_s, loaded) =
+            best_of(REPS, || snapshot::load_snapshot(&path, &ds.rel).expect("load"));
         assert_eq!(loaded.store.len(), store.len());
         assert_stores_agree(&ds, &store, &loaded.store);
 

@@ -6,7 +6,7 @@ use crate::group_data::GroupData;
 use crate::question::UserQuestion;
 use crate::store::PatternInstance;
 use cape_data::ops::rows_matching;
-use cape_data::{AttrId, Value};
+use cape_data::Value;
 use std::sync::Arc;
 
 /// Added to the denominator to avoid division by zero when NORM or the
@@ -49,15 +49,16 @@ pub fn norm_factor(pattern: &PatternInstance, uq: &UserQuestion) -> f64 {
 /// [`norm_factor`] for the relevant patterns of one question, found on
 /// column codes. The question's group row in a grouped relation is found
 /// once with [`rows_matching`] and shared by every pattern over that
-/// relation (the same `Arc<GroupData>` and `G`); each pattern reads its
-/// own aggregate column there. The kernel returns matching rows in
+/// relation; each pattern reads its own aggregate column there. A
+/// pattern's grouped relation is `γ_{F∪V}`, so patterns that share the
+/// `Arc<GroupData>` share `G` too. The kernel returns matching rows in
 /// ascending order, so its first is the row the literal scan stops at.
 #[derive(Debug)]
 pub struct QuestionNorms<'a> {
     uq: &'a UserQuestion,
-    /// Grouped relations searched so far: the relation, the `G` searched
-    /// on, and the question's group row (`None` when absent).
-    found: Vec<(&'a Arc<GroupData>, Vec<AttrId>, Option<usize>)>,
+    /// Grouped relations searched so far, each with the question's group
+    /// row there (`None` when absent).
+    found: Vec<(&'a Arc<GroupData>, Option<usize>)>,
 }
 
 impl<'a> QuestionNorms<'a> {
@@ -69,24 +70,25 @@ impl<'a> QuestionNorms<'a> {
     /// NORM of `pattern` for the question; equal, bit for bit, to
     /// [`norm_factor`].
     pub fn norm(&mut self, pattern: &'a PatternInstance) -> f64 {
-        let g = pattern.arp.g_attrs();
         let data = &pattern.data;
-        let known = self.found.iter().find(|(d, dg, _)| Arc::ptr_eq(d, data) && *dg == g);
-        let row = match known {
-            Some(&(_, _, row)) => row,
+        let row = match self.found.iter().find(|(d, _)| Arc::ptr_eq(d, data)) {
+            Some(&(_, row)) => row,
             None => {
-                let Some(wanted) = self.uq.values_of(&g) else {
-                    return 1.0;
-                };
-                let Some(cols) = data.cols_of_attrs(&g) else {
-                    return 1.0;
-                };
-                let row = rows_matching(&data.relation, &cols, &wanted).first().copied();
-                self.found.push((data, g, row));
+                let row = self.group_row(pattern);
+                self.found.push((data, row));
                 row
             }
         };
         row.map_or(1.0, |i| data.agg_value(i, pattern.agg_col).unwrap_or(0.0).abs())
+    }
+
+    /// The first row of `pattern`'s grouped relation that holds the
+    /// question's values on `G`.
+    fn group_row(&self, pattern: &PatternInstance) -> Option<usize> {
+        let g = pattern.arp.g_attrs();
+        let wanted = self.uq.values_of(&g)?;
+        let cols = pattern.data.cols_of_attrs(&g)?;
+        rows_matching(&pattern.data.relation, &cols, &wanted).first().copied()
     }
 }
 

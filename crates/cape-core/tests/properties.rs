@@ -563,7 +563,7 @@ proptest! {
     #[test]
     fn row_distance_equals_tuple_distance(
         rows in collection::vec(collection::vec(0u8..5, 6..7), 1..16),
-        weights in collection::vec(0u8..4, 6..7),
+        weights in collection::vec((0u8..4, 0.05f64..2.0), 6..7),
         masks in (1u8..64, 1u8..64, 0usize..6, 0usize..6),
         picks in (0usize..16, collection::vec(0u8..6, 6..7)),
     ) {
@@ -583,7 +583,7 @@ proptest! {
         let fns = vec![
             AttrDistanceFn::Exact,
             AttrDistanceFn::NumericScaled { scale: 3.0 },
-            AttrDistanceFn::NumericScaled { scale: 1.7 },
+            AttrDistanceFn::NumericScaled { scale: 2.9 },
             AttrDistanceFn::Classes {
                 classes: classes(&[Value::Int(1), Value::str("one"), Value::Float(1.5)], &[1, 1, 2]),
                 within_class: 0.5,
@@ -597,10 +597,11 @@ proptest! {
                 within_class: 0.25,
             },
         ];
-        // Zero weights are allowed, but not all of them. Weights and
-        // scales with long mantissas make a reordered sum or product
-        // round differently.
-        let mut w: Vec<f64> = weights.iter().map(|&c| f64::from(c).sqrt() * 0.7).collect();
+        // Zero weights are allowed, but not all of them. Weights drawn
+        // from a continuous range, and scales that leave distances below
+        // the cap of 1 with long mantissas, make a reordered sum or
+        // product round differently.
+        let mut w: Vec<f64> = weights.iter().map(|&(c, x)| if c == 0 { 0.0 } else { x }).collect();
         w[0] += 0.1;
         let dm = DistanceModel::new(w, fns);
 
