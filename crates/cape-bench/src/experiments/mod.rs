@@ -16,18 +16,20 @@ pub mod subtasks;
 pub mod tables;
 pub mod user_study;
 
-/// Seconds of the fastest of `reps` timed runs of `f`, with that run's
-/// result. The minimum is the least-noisy estimate of a timing: anything
-/// above it is scheduler interference.
+/// Seconds of the fastest of `reps` timed runs of `f`, with the last
+/// run's result. The minimum is the least-noisy estimate of a timing:
+/// anything above it is scheduler interference. Each run's result is
+/// freed, untimed, before the next run starts, so no two results are
+/// resident at once.
 pub(crate) fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best: Option<(f64, T)> = None;
+    let mut best = f64::INFINITY;
+    let mut last = None;
     for _ in 0..reps {
+        drop(last.take());
         let t0 = std::time::Instant::now();
         let value = f();
-        let secs = t0.elapsed().as_secs_f64();
-        if best.as_ref().is_none_or(|(b, _)| secs < *b) {
-            best = Some((secs, value));
-        }
+        best = best.min(t0.elapsed().as_secs_f64());
+        last = Some(value);
     }
-    best.expect("reps > 0")
+    (best, last.expect("reps > 0"))
 }

@@ -63,35 +63,37 @@ struct MinePhase {
     regress_s: f64,
     patterns: usize,
     peak_rss_bytes: Option<u64>,
-    out: MiningOutput,
 }
 
-fn mine_once(rel: &Relation, cfg: &MiningConfig) -> MinePhase {
+fn mine_once(rel: &Relation, cfg: &MiningConfig) -> (MinePhase, MiningOutput) {
     crate::rss::reset_peak();
     let out = ArpMiner.mine(rel, cfg).expect("mining");
     let peak_rss_bytes = crate::rss::peak_rss_bytes();
     let s = &out.stats;
-    MinePhase {
+    let phase = MinePhase {
         wall_s: s.total_time.as_secs_f64(),
         query_s: s.query_time.as_secs_f64(),
         regress_s: s.regression_time.as_secs_f64(),
         patterns: out.store.len(),
         peak_rss_bytes,
-        out,
-    }
+    };
+    (phase, out)
 }
 
-/// Per-metric minimum over [`REPS`] mines; the store, pattern count and
-/// peak RSS come from the first (which faults its pages in fresh).
-fn best_mine(rel: &Relation, cfg: &MiningConfig) -> MinePhase {
-    let mut best = mine_once(rel, cfg);
+/// Per-metric minimum over [`REPS`] mines, with the last mine's output.
+/// Each output is freed before the next mine starts, so the peak RSS,
+/// the first mine's, covers one store.
+fn best_mine(rel: &Relation, cfg: &MiningConfig) -> (MinePhase, MiningOutput) {
+    let (mut best, mut out) = mine_once(rel, cfg);
     for _ in 1..REPS {
-        let r = mine_once(rel, cfg);
+        drop(out);
+        let (r, next) = mine_once(rel, cfg);
         best.wall_s = best.wall_s.min(r.wall_s);
         best.query_s = best.query_s.min(r.query_s);
         best.regress_s = best.regress_s.min(r.regress_s);
+        out = next;
     }
-    best
+    (best, out)
 }
 
 fn mine_json(m: &MinePhase) -> Json {
@@ -120,7 +122,7 @@ fn run_dataset(
     // --- mine ----------------------------------------------------------
     let col_cfg = base_cfg(exclude);
     eprintln!("  scale-bench: {dataset}/{rows} mining ...");
-    let col = best_mine(&rel, &col_cfg);
+    let (col, mined) = best_mine(&rel, &col_cfg);
     eprintln!("  scale-bench: {dataset}/{rows}: {:.2}s ({} patterns)", col.wall_s, col.patterns);
 
     // --- explain: the question grid against the columnar store --------
@@ -132,7 +134,7 @@ fn run_dataset(
         let mut total_s = 0.0;
         answered = 0;
         for q in &questions {
-            let (explanations, s) = OptimizedExplainer.explain(&col.out.store, q, &ecfg);
+            let (explanations, s) = OptimizedExplainer.explain(&mined.store, q, &ecfg);
             total_s += s.time.as_secs_f64();
             answered += usize::from(!explanations.is_empty());
         }
@@ -147,7 +149,7 @@ fn run_dataset(
     // --- snapshot v2: save, mmap cold-start, owned decode --------------
     let path = std::env::temp_dir().join(format!("cape_scale_{dataset}.cape"));
     let (save_s, bytes) = best_of(REPS, || {
-        save_snapshot_v2(&path, rel.schema(), &col_cfg, &col.out.store, &rel).expect("save v2")
+        save_snapshot_v2(&path, rel.schema(), &col_cfg, &mined.store, &rel).expect("save v2")
     });
 
     // Peak RSS of the first load, which maps the file fresh. Each timed

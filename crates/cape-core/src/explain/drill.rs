@@ -17,17 +17,21 @@
 //! candidate is its row there, and only a candidate that clears the full
 //! top-k's threshold is materialized as a tuple of values.
 //!
-//! [`drill_down`], which EXPL-GEN-NAIVE runs, composes the same two
-//! halves but tests `t'[F] = t[F]` cell by cell, as Definition 7 states
-//! it, instead of through the key-match kernel: the oracle shares only
-//! the per-row candidate construction with the optimized path.
+//! [`drill_down`], which EXPL-GEN-NAIVE runs, keeps the definitions
+//! literal where the two halves use kernels: it tests `t'[F] = t[F]` cell
+//! by cell instead of through the key-match kernel, and its offer builds
+//! each candidate's tuple, tests condition 4b by value equality and
+//! scores it with [`tuple_distance`](crate::explain::DistanceModel::tuple_distance).
+//! The oracle shares only the per-row candidate construction with the
+//! optimized path, which looks the local model up by the row's `F'`
+//! values.
 
 use crate::explain::candidate::Explanation;
 use crate::explain::score::score_value;
 use crate::explain::topk::TopK;
 use crate::explain::{ExplainConfig, ExplainStats};
 use crate::question::UserQuestion;
-use crate::store::{LocalPattern, PatternInstance};
+use crate::store::PatternInstance;
 use cape_data::ops::{rows_matching, CellProbe};
 use cape_data::{AttrId, Value};
 
@@ -74,10 +78,9 @@ pub struct DrillResult {
 /// [`rows_matching`](cape_data::ops::rows_matching); per-row work is done
 /// only for the rows it returns, and allocates nothing: the `F'` key of
 /// the local-model lookup and the predictors go into buffers reused from
-/// row to row, a row that agrees with the last one looked up on `F'`
-/// reuses its local model, and a candidate records its row, not its
-/// values, so a cached result holds rows too. Every row is still tested,
-/// so `rows_scanned` is the grouped relation's row count.
+/// row to row, and a candidate records its row, not its values, so a
+/// cached result holds rows too. Every row is still tested, so
+/// `rows_scanned` is the grouped relation's row count.
 pub fn raw_candidates(f_attrs: &[AttrId], f_vals: &[Value], p2: &PatternInstance) -> DrillResult {
     let Some(cols) = DrillCols::of(f_attrs, p2) else {
         return DrillResult::default(); // refinement must contain P's partition attributes
@@ -126,21 +129,10 @@ fn candidates_at(
     let mut candidates = Vec::new();
     let mut key: Vec<Value> = Vec::with_capacity(cols.fprime.len());
     let mut x: Vec<f64> = Vec::with_capacity(cols.v.len());
-    // The last row looked up and its local model: a row that agrees with
-    // it on `F'` has the same key, so it reuses the lookup.
-    let mut last: Option<(usize, Option<&LocalPattern>)> = None;
     for i in rows {
-        let local = match last {
-            Some((j, local)) if rel.rows_equal_on(i, j, &cols.fprime) => local,
-            _ => {
-                key.clear();
-                key.extend(cols.fprime.iter().map(|&c| rel.value(i, c)));
-                let local = p2.local(&key);
-                last = Some((i, local));
-                local
-            }
-        };
-        let Some(local) = local else {
+        key.clear();
+        key.extend(cols.fprime.iter().map(|&c| rel.value(i, c)));
+        let Some(local) = p2.local(&key) else {
             continue;
         };
         if !p2.predictors_into(i, &cols.v, &mut x) {
@@ -186,18 +178,9 @@ pub fn offer_candidates(
     stats: &mut ExplainStats,
 ) {
     let rel = &p2.data.relation;
-    // Same-schema check data: when G_{P'} equals the question's group-by
-    // set, t' = t must be excluded (condition 4 of Definition 7).
-    let mut uq_sorted: Vec<AttrId> = uq.group_attrs.clone();
-    uq_sorted.sort_unstable();
-    let same_schema = p2.arp.g_attrs() == uq_sorted;
-    let uq_probes: Option<Vec<CellProbe>> = same_schema.then(|| {
-        drill
-            .attrs
-            .iter()
-            .zip(&drill.cols)
-            .map(|(&a, &c)| CellProbe::new(rel.col(c), uq.value_of(a).expect("covered attr")))
-            .collect()
+    let own = own_tuple(drill, p2, uq);
+    let uq_probes: Option<Vec<CellProbe>> = own.as_ref().map(|own| {
+        drill.cols.iter().zip(own).map(|(&c, v)| CellProbe::new(rel.col(c), v)).collect()
     });
     let distance_to =
         cfg.distance.to_rows(&uq.group_attrs, &uq.tuple, &drill.attrs, rel, &drill.cols);
@@ -242,11 +225,71 @@ pub fn offer_candidates(
     }
 }
 
+/// The question's values over `drill.attrs` when `G_{P'}` equals the
+/// question's group-by set: then `t' = t` must be excluded (condition 4b
+/// of Definition 7).
+fn own_tuple(drill: &DrillResult, p2: &PatternInstance, uq: &UserQuestion) -> Option<Vec<Value>> {
+    let mut uq_sorted: Vec<AttrId> = uq.group_attrs.clone();
+    uq_sorted.sort_unstable();
+    (p2.arp.g_attrs() == uq_sorted).then(|| {
+        drill.attrs.iter().map(|&a| uq.value_of(a).expect("covered attr").clone()).collect()
+    })
+}
+
+/// [`offer_candidates`] as Definitions 7, 9 and 10 state it: each
+/// candidate's tuple is projected from its row, condition 4b compares it
+/// with the question's by value, [`tuple_distance`] scores it, and every
+/// survivor is offered.
+///
+/// [`tuple_distance`]: crate::explain::DistanceModel::tuple_distance
+#[allow(clippy::too_many_arguments)]
+fn offer_literal(
+    drill: &DrillResult,
+    p_idx: usize,
+    p2_idx: usize,
+    p2: &PatternInstance,
+    norm: f64,
+    uq: &UserQuestion,
+    cfg: &ExplainConfig,
+    topk: &mut TopK,
+    stats: &mut ExplainStats,
+) {
+    let own = own_tuple(drill, p2, uq);
+    for cand in &drill.candidates {
+        let tuple = p2.data.relation.row_project(cand.row, &drill.cols);
+        // (4b) t' ≠ t when over the same schema.
+        if own.as_ref() == Some(&tuple) {
+            continue;
+        }
+        // (5) Deviation in the opposite direction.
+        if !uq.dir.counterbalances(cand.deviation) {
+            continue;
+        }
+        stats.candidates_generated += 1;
+        let distance =
+            cfg.distance.tuple_distance(&uq.group_attrs, &uq.tuple, &drill.attrs, &tuple);
+        topk.offer(Explanation {
+            pattern_idx: p_idx,
+            refinement_idx: p2_idx,
+            attrs: drill.attrs.clone(),
+            tuple,
+            agg_value: cand.agg_value,
+            predicted: cand.predicted,
+            deviation: cand.deviation,
+            distance,
+            norm,
+            score: score_value(cand.deviation, uq.dir.is_low_sign(), distance, norm),
+        });
+    }
+}
+
 /// Iterate all tuples `t' ∈ γ_{F'∪V, agg(A)}(R)` for refinement `p2`,
 /// apply the conditions of Definition 7, score survivors against the
 /// relevant pattern's NORM, and push them into `topk`. Condition 4a is
-/// the literal `t'[F] = t[F]` over materialized values, so EXPL-GEN-NAIVE
-/// checks [`raw_candidates`]' key-match kernel rather than sharing it.
+/// the literal `t'[F] = t[F]` over materialized values, and the offer is
+/// [`offer_literal`], so EXPL-GEN-NAIVE checks [`raw_candidates`]'
+/// key-match kernel and [`offer_candidates`]' row kernels rather than
+/// sharing them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drill_down(
     p_idx: usize,
@@ -270,5 +313,5 @@ pub(crate) fn drill_down(
         None => DrillResult::default(),
     };
     stats.tuples_checked += drill.rows_scanned;
-    offer_candidates(&drill, p_idx, p2_idx, p2, norm, uq, cfg, topk, stats);
+    offer_literal(&drill, p_idx, p2_idx, p2, norm, uq, cfg, topk, stats);
 }

@@ -1,12 +1,14 @@
 //! Property-based tests of the CAPE core: candidate enumeration, the
 //! top-k heap (including deterministic tie-breaking), the scoring
 //! function's monotonicity, the distance model, miner agreement on
-//! random data, and EXPL-GEN-OPT's column-code kernels (NORM and the row
-//! distance) against Definitions 9 and 10 computed on values.
+//! random data, and EXPL-GEN-OPT's column-code kernels (NORM, the row
+//! distance and the offer) against Definitions 7, 9 and 10 computed on
+//! values.
 
 use cape_core::explain::{
-    norm_factor, relative_loss, score_value, summarize, AttrDistanceFn, DistanceModel, Explanation,
-    QuestionNorms, SummarizeConfig, TopK,
+    norm_factor, offer_candidates, relative_loss, score_value, summarize, AttrDistanceFn,
+    DistanceModel, DrillResult, ExplainConfig, ExplainStats, Explanation, QuestionNorms,
+    RawCandidate, SummarizeConfig, TopK,
 };
 use cape_core::group_data::GroupData;
 use cape_core::mining::{splits_of, ArpMiner, Miner, ShareGrpMiner};
@@ -466,7 +468,14 @@ fn question_cell(v: &Value, code: u8) -> Value {
 /// per code tuple. Keys may repeat: a hand-built relation checks that
 /// NORM reads the *first* matching row.
 fn grouped(group_attrs: &[AttrId], rows: &[(Vec<u8>, i64)]) -> Arc<GroupData> {
-    let types = [ValueType::Str, ValueType::Int, ValueType::Float, ValueType::Int];
+    let types = [
+        ValueType::Str,
+        ValueType::Int,
+        ValueType::Float,
+        ValueType::Int,
+        ValueType::Int,
+        ValueType::Str,
+    ];
     let mut cols: Vec<(String, ValueType)> =
         group_attrs.iter().map(|&a| (format!("g{a}"), types[a])).collect();
     cols.extend([
@@ -627,6 +636,139 @@ proptest! {
             let t2 = rel.row_project(i, &cols2);
             let literal = dm.tuple_distance(&attrs1, &vals1, &attrs2, &t2);
             prop_assert_eq!(rows_from.at(i).to_bits(), literal.to_bits(), "row {}", i);
+        }
+    }
+
+    /// The offer ([`offer_candidates`]) tests condition 4b with the
+    /// question's values compiled against the row's columns, scores each
+    /// candidate from its row's cells, and builds a tuple only for a
+    /// candidate that clears the top-k's threshold. Its top-k equals
+    /// offering every candidate built with `row_project`, value equality
+    /// and [`DistanceModel::tuple_distance`], bit for bit: `NumericScaled`,
+    /// `Exact` and `Classes` attributes (on strings and on numbers), NULL
+    /// cells, a `Mixed` column, repeated rows, zero weights, cross-type
+    /// question values, attributes present on one side only, and
+    /// questions over `P'`'s own schema, where 4b excludes the question's
+    /// tuple.
+    #[test]
+    fn offer_matches_the_literal_offer(
+        rows in collection::vec((collection::vec(0u8..5, 6..7), -4i64..5), 1..16),
+        weights in collection::vec((0u8..4, 0.05f64..2.0), 6..7),
+        shape in (0u8..64, 0usize..6, 1u8..64, 0usize..6, 0u8..2),
+        picks in (0usize..16, collection::vec(0u8..6, 6..7), 0u8..2, 1usize..8, 0.0f64..4.0),
+    ) {
+        let (g_mask, g_rot, q_mask, q_rot, same_schema) = shape;
+        let (pick, codes, low, k, norm) = picks;
+        // `P'` over `G` (two or more attributes, in rotated order): `F'` is
+        // its first, `V` the rest.
+        let subset = |mask: u8, rot: usize| -> Vec<AttrId> {
+            (0..6).map(|i| (i + rot) % 6).filter(|a| (mask >> a) & 1 == 1).collect()
+        };
+        let g_mask = g_mask | 1 << g_rot | 1 << ((g_rot + 1) % 6);
+        let g = subset(g_mask, g_rot);
+        let data = grouped(&g, &rows.iter().map(|(c, _)| (c.clone(), 1)).collect::<Vec<_>>());
+        let p2 = norm_pattern(&g[..1], &g[1..], false, &data);
+        let rel = &data.relation;
+
+        let classes = |vals: &[Value], ids: &[u32]| -> HashMap<Value, u32> {
+            vals.iter().cloned().zip(ids.iter().copied()).collect()
+        };
+        let fns = vec![
+            AttrDistanceFn::Exact,
+            AttrDistanceFn::NumericScaled { scale: 3.0 },
+            AttrDistanceFn::NumericScaled { scale: 2.9 },
+            AttrDistanceFn::Classes {
+                classes: classes(&[Value::Int(1), Value::str("one"), Value::Float(1.5)], &[1, 1, 2]),
+                within_class: 0.5,
+            },
+            AttrDistanceFn::Classes {
+                classes: classes(&[Value::Int(25), Value::Int(26), Value::Int(77)], &[1, 1, 2]),
+                within_class: 0.3,
+            },
+            AttrDistanceFn::Classes {
+                classes: classes(&[Value::str("north"), Value::str("south")], &[4, 4]),
+                within_class: 0.25,
+            },
+        ];
+        // Zero weights are allowed, but not all of them. Weights drawn
+        // from a continuous range, and scales that leave distances below
+        // the cap of 1 with long mantissas, make a reordered sum or
+        // product round differently.
+        let mut w: Vec<f64> = weights.iter().map(|&(c, x)| if c == 0 { 0.0 } else { x }).collect();
+        w[0] += 0.1;
+        let cfg = ExplainConfig { k, distance: DistanceModel::new(w, fns) };
+
+        // The question is over `G` itself (in another order) or over any
+        // other set of attributes; its values start from one row's.
+        let q_attrs = if same_schema == 1 { subset(g_mask, q_rot) } else { subset(q_mask, q_rot) };
+        let src = pick % rel.num_rows();
+        let tuple: Vec<Value> = q_attrs
+            .iter()
+            .map(|&a| match g.iter().position(|&b| b == a) {
+                Some(j) => question_cell(&rel.value(src, j), codes[a]),
+                None => cell(a, codes[a] % 5),
+            })
+            .collect();
+        let dir = if low == 1 { Direction::Low } else { Direction::High };
+        let uq = UserQuestion::new(q_attrs.clone(), AggFunc::Count, None, tuple, 1.0, dir);
+
+        // One candidate per row; the aggregate names the row, and both
+        // deviation signs (and zero) occur.
+        let mut attrs: Vec<AttrId> = p2.arp.f().to_vec();
+        attrs.extend_from_slice(p2.arp.v());
+        let cols = data.cols_of_attrs(&attrs).unwrap();
+        let deviation = |i: usize| rows.get(i).map_or(2, |r| r.1) as f64 * 0.75;
+        let candidates: Vec<RawCandidate> = (0..rel.num_rows())
+            .map(|i| RawCandidate {
+                row: i,
+                agg_value: i as f64,
+                predicted: i as f64 - deviation(i),
+                deviation: deviation(i),
+            })
+            .collect();
+        let drill = DrillResult {
+            attrs: attrs.clone(),
+            cols: cols.clone(),
+            candidates: candidates.clone(),
+            rows_scanned: rel.num_rows(),
+        };
+        let mut topk = TopK::new(k);
+        let mut stats = ExplainStats::default();
+        offer_candidates(&drill, 0, 1, &p2, norm, &uq, &cfg, &mut topk, &mut stats);
+
+        let mut uq_g = q_attrs.clone();
+        uq_g.sort_unstable();
+        let own: Option<Vec<Value>> = (uq_g == p2.arp.g_attrs())
+            .then(|| attrs.iter().map(|&a| uq.value_of(a).unwrap().clone()).collect());
+        let mut literal = TopK::new(k);
+        let mut generated = 0;
+        for cand in &candidates {
+            let t2 = rel.row_project(cand.row, &cols);
+            if own.as_ref() == Some(&t2) || !dir.counterbalances(cand.deviation) {
+                continue;
+            }
+            generated += 1;
+            let distance = cfg.distance.tuple_distance(&q_attrs, &uq.tuple, &attrs, &t2);
+            literal.offer(Explanation {
+                pattern_idx: 0,
+                refinement_idx: 1,
+                attrs: attrs.clone(),
+                tuple: t2,
+                agg_value: cand.agg_value,
+                predicted: cand.predicted,
+                deviation: cand.deviation,
+                distance,
+                norm,
+                score: score_value(cand.deviation, dir.is_low_sign(), distance, norm),
+            });
+        }
+        prop_assert_eq!(stats.candidates_generated, generated);
+        let (got, want) = (topk.into_sorted_vec(), literal.into_sorted_vec());
+        prop_assert_eq!(got.len(), want.len());
+        for (e, r) in got.iter().zip(&want) {
+            prop_assert_eq!(e, r);
+            prop_assert_eq!(e.distance.to_bits(), r.distance.to_bits());
+            prop_assert_eq!(e.score.to_bits(), r.score.to_bits());
         }
     }
 }

@@ -3,7 +3,7 @@
 use cape_data::agg::Accumulator;
 use cape_data::ops::{
     aggregate, aggregate_with_row_count, cube, distinct, distinct_project, project, rows_matching,
-    select, sort_by, sort_perm, sorted_block_starts,
+    select, sort_by, sort_perm, sorted_block_starts, CellProbe,
 };
 use cape_data::stats::{attr_range, attr_stats};
 use cape_data::{AggFunc, AggSpec, Predicate, Relation, Schema, Value, ValueType};
@@ -368,8 +368,9 @@ fn arb_keyed_relation() -> impl Strategy<Value = Relation> {
 
 proptest! {
     /// The key-match kernel is the filter `rel.value(i, c) == v` for every
-    /// column subset: typed probes, NULL probes, Int/Float cross-type
-    /// probes, `Mixed` columns and strings absent from the dictionary.
+    /// column subset, and [`CellProbe::matches`] is that equality per
+    /// cell: typed probes, NULL probes, Int/Float cross-type probes,
+    /// `Mixed` columns and strings absent from the dictionary.
     #[test]
     fn rows_matching_equals_value_filter(
         rel in arb_keyed_relation(),
@@ -392,6 +393,14 @@ proptest! {
                 .filter(|&i| cols.iter().zip(&vals).all(|(&c, v)| rel.value(i, c) == *v))
                 .collect();
             prop_assert_eq!(rows_matching(&rel, &cols, &vals), want, "cols {:?} key {:?}", cols, vals);
+        }
+        // `CellProbe::matches`, the same predicate for one chosen row, is
+        // the value equality too.
+        for (c, v) in key.iter().enumerate() {
+            let probe = CellProbe::new(rel.col(c), v);
+            for i in 0..rel.num_rows() {
+                prop_assert_eq!(probe.matches(i), rel.value(i, c) == *v, "col {} row {} key {:?}", c, i, v);
+            }
         }
     }
 }
